@@ -19,13 +19,14 @@ import numpy as np
 from . import __version__
 from .criteria import CriterionKind, eval_JA, eval_JE, make_criterion
 from .evaluate import (
+    CURVE_A_MAX,
     default_curve_points,
     density_error,
     energy_curve,
     overlap_condition_sweep,
 )
 from .galerkin import OvercompletenessError, expand, hbs_coefficients
-from .grid import Grid, build_grid, default_x_max
+from .grid import R_MAX, Grid, build_grid, default_x_max
 from .hermite import assemble_dimer
 from .reference import (
     Measure,
@@ -364,7 +365,9 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 def cmd_report(cfg: RunConfig, args) -> int:
     docs = _gather_artifacts(cfg, args)
     grid = cfg.grid()
-    a_values = default_curve_points(cfg.curve_points)
+    # end the curve where the box still holds the basis tails
+    a_end = min(CURVE_A_MAX, grid.x_max - R_MAX)
+    a_values = default_curve_points(cfg.curve_points, a_end)
     for doc in docs:
         label = _artifact_label(doc)
         R = doc["R"]
@@ -381,7 +384,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
             [(e.a, e.l1, e.h1, e.vw) for e in errors],
         )
         _write_basis_functions(cfg, grid, doc, label)
-    sweep_a = np.geomspace(0.1, 5.0, 40)
+    sweep_a = np.geomspace(0.1, CURVE_A_MAX, 40)
     for nb in sorted({doc["n_basis"] for doc in docs}):
         sweep = overlap_condition_sweep(nb, sweep_a)
         write_csv(

@@ -1,8 +1,16 @@
 """Density-projection and energy-error criteria and their gradients in R.
 
-Both criteria aggregate per-configuration terms over the sampling measure
-(weights baked into the offline data). Summation order is fixed by the
-measure ordering so values are bit-reproducible.
+Both criteria are weighted sums over the sampling measure of terms that
+depend on R only through the reduced 2N_b x 2N_b matrices of each
+configuration. The offline matrices of the K configurations are stacked
+once into (K, 2N, 2N) arrays, next to weight, a and e_ref vectors. A call
+forms all K reduced matrices with one matmul against I_R = expand(R),
+makes one batched solve over K and returns the value and the Euclidean
+gradient from it; eval_* and grad_* are thin wrappers over the same
+kernels.
+
+The per-configuration terms are reduced in measure order by fixed-shape
+NumPy reductions, so values are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .galerkin import (
-    DEFAULT_COND_LIMIT,
     expand,
     inv_sqrt_spd,
     reduced_ground_pair,
@@ -38,6 +45,15 @@ class DegenerateGapWarning(UserWarning):
     """Third Ritz value degenerate with the occupied pair."""
 
 
+def _stack(offline: list[OfflineConfigData], energy: bool):
+    """(K, 2N, 2N) stacks of the matrices the criterion reads, then the
+    weight, a and e_ref vectors, all in measure order."""
+    m = [d.m_e_offline if energy else d.m_a_offline for d in offline]
+    s = [d.s_b if energy else d.s_a_b for d in offline]
+    vectors = np.array([(d.weight, d.a, d.e_ref) for d in offline]).T
+    return (np.stack(m), np.stack(s), *vectors)
+
+
 def _diag_blocks_sum(M: np.ndarray) -> np.ndarray:
     """M^{++} + M^{--} for a 2x2-block matrix with equal block shapes."""
     n = M.shape[0] // 2
@@ -45,107 +61,73 @@ def _diag_blocks_sum(M: np.ndarray) -> np.ndarray:
     return M[:n, :m] + M[n:, m:]
 
 
-def _ja_terms(R: np.ndarray, data: OfflineConfigData, cond_limit: float):
-    """Shared solve for eval/grad of the projection criterion."""
-    S_red = reduced_overlap(data.s_a_b, R)
-    S_inv_sqrt, _ = inv_sqrt_spd(S_red, cond_limit, a=data.a)
+def _ja(R, m, s, weight, a, e_ref):
+    """Value and gradient of J_A = -sum_n w_n Tr(M_red S_red^{-1})."""
+    S_red = reduced_overlap(s, R)
+    M_red = reduced_overlap(m, R)
+    S_inv_sqrt, _ = inv_sqrt_spd(S_red, a=a)
     S_inv = S_inv_sqrt @ S_inv_sqrt
+    value = -float(weight @ np.sum(S_inv * M_red, axis=(1, 2)))
+    # d/dI_R Tr(M_red S_red^{-1}) = 2 (M I_R S^{-1} - S I_R S^{-1} M_red S^{-1})
     I_R = expand(R)
-    MI = data.m_a_offline @ I_R  # 2N x 2N_b
-    return I_R, MI, S_inv
+    D = m @ I_R @ S_inv - s @ I_R @ (S_inv @ M_red @ S_inv)
+    return value, -2.0 * _diag_blocks_sum(np.tensordot(weight, D, axes=1))
 
 
-def eval_JA(
-    R: np.ndarray,
-    offline: list[OfflineConfigData],
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> float:
-    """-sum_n w_n Tr(M_A(a_n) I_R [S^A(B I_R)]^{-1} I_R^T)."""
-    total = 0.0
-    for data in offline:
-        I_R, MI, S_inv = _ja_terms(R, data, cond_limit)
-        total -= data.weight * float(np.sum((I_R @ S_inv) * MI))
-    return total
-
-
-def grad_JA(
-    R: np.ndarray,
-    offline: list[OfflineConfigData],
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> np.ndarray:
-    """Euclidean gradient of eval_JA with respect to R."""
-    grad = np.zeros_like(R)
-    for data in offline:
-        I_R, MI, S_inv = _ja_terms(R, data, cond_limit)
-        MIS = MI @ S_inv  # M_A^offline I_R S^{-1}
-        # M_A(a, R) = M I_R S^{-1} - S^A(B) I_R S^{-1} I_R^T M I_R S^{-1}
-        M_aR = MIS - data.s_a_b @ I_R @ S_inv @ (I_R.T @ MIS)
-        grad -= 2.0 * data.weight * _diag_blocks_sum(M_aR)
-    return grad
-
-
-def _je_config(R: np.ndarray, data: OfflineConfigData, cond_limit: float):
-    pair = reduced_ground_pair(
-        data.m_e_offline, data.s_b, R, cond_limit=cond_limit, a=data.a
-    )
-    return pair, data.e_ref - pair.energy
-
-
-def eval_JE(
-    R: np.ndarray,
-    offline: list[OfflineConfigData],
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> float:
-    """sum_n w_n |E_ref(a_n) - E_R(a_n)|^2."""
-    total = 0.0
-    for data in offline:
-        _, residual = _je_config(R, data, cond_limit)
-        total += data.weight * residual**2
-    return total
-
-
-def _grad_energy(R: np.ndarray, data: OfflineConfigData, pair) -> np.ndarray:
-    """Euclidean gradient of E_R(a) = mu1 + mu2 with respect to R."""
-    if pair.mu3 - pair.mu2 < GAP_TOL:
+def _je(R, m, s, weight, a, e_ref):
+    """Value and gradient of J_E = sum_n w_n (E_ref - E_R)^2."""
+    pair = reduced_ground_pair(m, s, R, a=a)
+    gap = pair.mu3 - pair.mu2
+    for n in np.flatnonzero(gap < GAP_TOL):
         warnings.warn(
             f"third Ritz value degenerate with the occupied pair at "
-            f"a={data.a} (gap {pair.mu3 - pair.mu2:.3e})",
+            f"a={a[n]} (gap {gap[n]:.3e})",
             DegenerateGapWarning,
             stacklevel=3,
         )
+    residual = e_ref - pair.energy
+    value = float(weight @ residual**2)
+    # dE_R/dI_R = 2 (M I_R P - S I_R Q), P = C C^T, Q = C diag(mu1, mu2) C^T
     C = pair.C
-    P = C @ C.T
-    Q = C @ np.diag([pair.mu1, pair.mu2]) @ C.T
+    Ct = np.swapaxes(C, 1, 2)
+    mu = np.stack([pair.mu1, pair.mu2], axis=1)
     I_R = expand(R)
-    # sum over blocks b, b' of M^{bb'} R P^{b'b} = diagonal blocks of M I_R P
-    term_m = _diag_blocks_sum(data.m_e_offline @ I_R @ P)
-    term_s = _diag_blocks_sum(data.s_b @ I_R @ Q)
-    return 2.0 * (term_m - term_s)
+    D = m @ I_R @ (C @ Ct) - s @ I_R @ ((C * mu[:, None, :]) @ Ct)
+    coef = weight * residual
+    return value, -4.0 * _diag_blocks_sum(np.tensordot(coef, D, axes=1))
 
 
-def grad_JE(
-    R: np.ndarray,
-    offline: list[OfflineConfigData],
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> np.ndarray:
+def eval_JA(R: np.ndarray, offline: list[OfflineConfigData]) -> float:
+    """-sum_n w_n Tr(M_A(a_n) I_R [S^A(B I_R)]^{-1} I_R^T)."""
+    return _ja(R, *_stack(offline, energy=False))[0]
+
+
+def grad_JA(R: np.ndarray, offline: list[OfflineConfigData]) -> np.ndarray:
+    """Euclidean gradient of eval_JA with respect to R."""
+    return _ja(R, *_stack(offline, energy=False))[1]
+
+
+def eval_JE(R: np.ndarray, offline: list[OfflineConfigData]) -> float:
+    """sum_n w_n |E_ref(a_n) - E_R(a_n)|^2."""
+    return _je(R, *_stack(offline, energy=True))[0]
+
+
+def grad_JE(R: np.ndarray, offline: list[OfflineConfigData]) -> np.ndarray:
     """Euclidean gradient of eval_JE with respect to R."""
-    grad = np.zeros_like(R)
-    for data in offline:
-        pair, residual = _je_config(R, data, cond_limit)
-        grad -= 2.0 * data.weight * residual * _grad_energy(R, data, pair)
-    return grad
+    return _je(R, *_stack(offline, energy=True))[1]
 
 
 def make_criterion(kind: CriterionKind, offline: list[OfflineConfigData]):
-    """Value-and-gradient callable for the optimizer."""
-    if kind is CriterionKind.JE:
+    """Value-and-gradient callable for the optimizer.
 
-        def value_and_grad(R):
-            return eval_JE(R, offline), grad_JE(R, offline)
+    The offline matrices are stacked once here; each call makes one
+    batched solve over all configurations.
+    """
+    energy = kind is CriterionKind.JE
+    kernel = _je if energy else _ja
+    stack = _stack(offline, energy)
 
-    else:
-
-        def value_and_grad(R):
-            return eval_JA(R, offline), grad_JA(R, offline)
+    def value_and_grad(R):
+        return kernel(R, *stack)
 
     return value_and_grad

@@ -34,9 +34,14 @@ class DensityError:
     vw: float
 
 
-def default_curve_points(count: int = 50) -> np.ndarray:
-    """Fine evaluation sampling of the training interval [1.5, 5]."""
-    return np.linspace(1.5, 5.0, count)
+# Right end of the report's curves: the training interval is [1.5, 5].
+CURVE_A_MAX = 5.0
+
+
+def default_curve_points(count: int = 50, a_max: float = CURVE_A_MAX) -> np.ndarray:
+    """Fine evaluation sampling of [1.5, a_max], by default the training
+    interval [1.5, 5]."""
+    return np.linspace(1.5, a_max, count)
 
 
 def energy_curve(

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid
-from .reference import OfflineConfigData
 
 DEFAULT_COND_LIMIT = 1e12
 
@@ -42,44 +41,52 @@ def hbs_coefficients(n_funcs: int, n_basis: int) -> np.ndarray:
     return np.eye(n_funcs)[:, :n_basis].copy()
 
 
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
 def reduced_overlap(s_block: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """I_R^T S I_R without forming I_R explicitly."""
-    n = R.shape[0]
-    out = np.block(
-        [
-            [R.T @ s_block[:n, :n] @ R, R.T @ s_block[:n, n:] @ R],
-            [R.T @ s_block[n:, :n] @ R, R.T @ s_block[n:, n:] @ R],
-        ]
-    )
-    return 0.5 * (out + out.T)
+    """I_R^T S I_R; leading batch axes of S carry through.
 
-
-def inv_sqrt_spd(
-    S: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT, a: float | None = None
-):
-    """Symmetric (Lowdin) inverse square root of an SPD matrix.
-
-    Returns (S^{-1/2}, condition number). Raises OvercompletenessError when
-    the spectrum is non-positive or the condition number exceeds cond_limit.
+    One matmul against I_R = expand(R) forms every reduced matrix of a
+    (K, 2N, 2N) stack at once.
     """
-    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
-    smin, smax = vals[0], vals[-1]
-    cond = np.inf if smin <= 0 else smax / smin
-    if smin <= 0 or cond > cond_limit:
-        where = "" if a is None else f" at a={a}"
+    I_R = expand(R)
+    return _sym(I_R.T @ s_block @ I_R)
+
+
+def inv_sqrt_spd(S: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT, a=None):
+    """Symmetric (Lowdin) inverse square root of an SPD matrix or a stack.
+
+    Returns (S^{-1/2}, condition number); for a (K, n, n) stack both carry
+    the leading axis, and `a` holds one configuration per matrix. Raises
+    OvercompletenessError for the first matrix whose spectrum is
+    non-positive or whose condition number exceeds cond_limit.
+    """
+    vals, vecs = np.linalg.eigh(_sym(S))
+    smin, smax = vals[..., 0], vals[..., -1]
+    cond = np.divide(smax, smin, out=np.full_like(smin, np.inf), where=smin > 0)
+    bad = np.flatnonzero((smin <= 0) | (cond > cond_limit))
+    if bad.size:
+        n = bad[0]
+        a_n = None if a is None else float(np.ravel(a)[n])
+        where = "" if a_n is None else f" at a={a_n}"
         raise OvercompletenessError(
-            f"overlap matrix ill-conditioned{where}: "
-            f"min eigenvalue {smin:.3e}, condition number {cond:.3e}",
-            cond=cond,
-            a=a,
+            f"overlap matrix ill-conditioned{where}: min eigenvalue "
+            f"{smin.flat[n]:.3e}, condition number {cond.flat[n]:.3e}",
+            cond=float(cond.flat[n]),
+            a=a_n,
         )
-    inv_sqrt = (vecs * vals**-0.5) @ vecs.T
-    return 0.5 * (inv_sqrt + inv_sqrt.T), cond
+    inv_sqrt = (vecs * vals[..., None, :] ** -0.5) @ np.swapaxes(vecs, -1, -2)
+    return _sym(inv_sqrt), cond[()]  # [()]: a scalar for a single matrix
 
 
 @dataclass(frozen=True)
 class ReducedGroundPair:
-    """Two lowest Ritz pairs of the reduced generalized eigenproblem."""
+    """Two lowest Ritz pairs of the reduced generalized eigenproblem.
+
+    For a stack of K configurations every field carries the leading axis.
+    """
 
     mu1: float
     mu2: float
@@ -97,18 +104,24 @@ def reduced_ground_pair(
     s_block: np.ndarray,
     R: np.ndarray,
     cond_limit: float = DEFAULT_COND_LIMIT,
-    a: float | None = None,
+    a=None,
 ) -> ReducedGroundPair:
-    """Solve the reduced problem by Lowdin symmetric orthogonalization."""
+    """Solve the reduced problem by Lowdin symmetric orthogonalization.
+
+    The offline matrices may be (K, 2N, 2N) stacks, with `a` holding one
+    configuration per matrix; one batched eigensolve then serves all K.
+    """
     S_red = reduced_overlap(s_block, R)
     H_red = reduced_overlap(m_e_offline, R)
     S_inv_sqrt, cond = inv_sqrt_spd(S_red, cond_limit, a=a)
-    H_tilde = S_inv_sqrt @ H_red @ S_inv_sqrt
-    vals, vecs = np.linalg.eigh(0.5 * (H_tilde + H_tilde.T))
-    C = S_inv_sqrt @ vecs[:, :2]
-    mu3 = float(vals[2]) if vals.shape[0] > 2 else np.inf
+    vals, vecs = np.linalg.eigh(_sym(S_inv_sqrt @ H_red @ S_inv_sqrt))
+    mu3 = vals[..., 2] if vals.shape[-1] > 2 else np.inf
     return ReducedGroundPair(
-        mu1=float(vals[0]), mu2=float(vals[1]), mu3=mu3, C=C, cond=cond
+        mu1=vals[..., 0],
+        mu2=vals[..., 1],
+        mu3=mu3,
+        C=S_inv_sqrt @ vecs[..., :2],
+        cond=cond,
     )
 
 
@@ -123,9 +136,3 @@ def lcao_density(
     """
     orbitals = b_columns @ (expand(R) @ C)  # N_g x 2
     return (orbitals**2).sum(axis=1) / grid.dx
-
-
-def hbs_offline_pair(data: OfflineConfigData, n_basis: int) -> ReducedGroundPair:
-    """Reduced solve for the plain Hermite basis of size n_basis."""
-    R = hbs_coefficients(data.n_funcs, n_basis)
-    return reduced_ground_pair(data.m_e_offline, data.s_b, R, a=data.a)

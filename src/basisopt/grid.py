@@ -115,9 +115,3 @@ def h1_metric(grid: Grid) -> TridiagOperator:
     offdiag = np.full(grid.n_points - 1, -inv_dx2)
     return TridiagOperator(diag=diag, offdiag=offdiag)
 
-
-def identity_metric(grid: Grid) -> TridiagOperator:
-    """L2 metric (identity) in the same banded form as h1_metric."""
-    return TridiagOperator(
-        diag=np.ones(grid.n_points), offdiag=np.zeros(grid.n_points - 1)
-    )

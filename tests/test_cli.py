@@ -153,6 +153,7 @@ class TestEvaluateReport:
         assert table[0] == "basis,n_basis,J_L2,J_H1,J_E"
         assert len(table) == 3
 
+    @pytest.mark.filterwarnings("error::basisopt.hermite.TailOverflowWarning")
     def test_report_row_counts(self, tmp_path, small_config):
         path = tmp_path / "rep.ini"
         path.write_text(SMALL_CONFIG + "\n[report]\ncurve_points = 7\n")
@@ -165,6 +166,7 @@ class TestEvaluateReport:
         basis_csv = (tmp_path / "out" / "basis_functions_HBS_Nb1.csv").read_text()
         assert len(basis_csv.splitlines()) == 1 + 699
 
+    @pytest.mark.filterwarnings("error::basisopt.hermite.TailOverflowWarning")
     def test_report_deterministic(self, tmp_path, small_config):
         path = tmp_path / "rep.ini"
         path.write_text(SMALL_CONFIG + "\n[report]\ncurve_points = 5\n")

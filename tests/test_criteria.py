@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from basisopt.criteria import (
     CriterionKind,
@@ -12,7 +14,12 @@ from basisopt.criteria import (
     grad_JE,
     make_criterion,
 )
-from basisopt.galerkin import expand, hbs_coefficients, reduced_overlap
+from basisopt.galerkin import (
+    OvercompletenessError,
+    expand,
+    hbs_coefficients,
+    reduced_overlap,
+)
 from basisopt.grid import build_grid, fd_hamiltonian
 from basisopt.hermite import hermite_columns
 from basisopt.reference import OfflineConfigData, solve_ground_pair
@@ -169,6 +176,94 @@ class TestSpanInvariance:
         assert eval_JE(R, offline_l2) == pytest.approx(
             eval_JE(R @ O, offline_l2), abs=1e-10
         )
+
+
+def _well_conditioned(rng, n):
+    """Invertible n x n matrix with singular values in [0.5, 2]."""
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return U @ np.diag(rng.uniform(0.5, 2.0, n)) @ V
+
+
+class TestSpanProperties:
+    """J depends on R only through span(R): J(RM) = J(R) for invertible M,
+    hence R^T grad J = 0 at every R."""
+
+    @pytest.fixture(scope="class")
+    def criteria(self, offline_l2, offline_h1):
+        return {
+            "JA_L2": (eval_JA, grad_JA, offline_l2),
+            "JA_H1": (eval_JA, grad_JA, offline_h1),
+            "JE": (eval_JE, grad_JE, offline_l2),
+        }
+
+    @given(seed=st.integers(0, 10_000), n_basis=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_invariant_under_invertible_change_of_basis(self, criteria, seed, n_basis):
+        rng = np.random.default_rng(seed)
+        R = random_stiefel(rng, 10, n_basis)
+        M = _well_conditioned(rng, n_basis)
+        for name, (value, _, offline) in criteria.items():
+            j = value(R, offline)
+            assert value(R @ M, offline) == pytest.approx(j, rel=1e-9), name
+
+    @given(seed=st.integers(0, 10_000), n_basis=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_gradient_orthogonal_to_span(self, criteria, seed, n_basis):
+        R = random_stiefel(np.random.default_rng(seed), 10, n_basis)
+        for name, (_, grad, offline) in criteria.items():
+            G = grad(R, offline)
+            assert np.linalg.norm(R.T @ G) <= 1e-8 * np.linalg.norm(G), name
+
+
+def _dense_single_value(kind, R, data):
+    """One configuration's weighted term from the dense I_R^T S I_R."""
+    I_R = expand(R)
+    if kind is CriterionKind.JE:
+        H = I_R.T @ data.m_e_offline @ I_R
+        S = I_R.T @ data.s_b @ I_R
+        mu = scipy.linalg.eigh(H, S, eigvals_only=True)
+        return data.weight * (data.e_ref - mu[0] - mu[1]) ** 2
+    M = I_R.T @ data.m_a_offline @ I_R
+    S = I_R.T @ data.s_a_b @ I_R
+    return -data.weight * np.trace(np.linalg.solve(S, M))
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_stack_equals_sum_of_single_solves(
+        self, kind, offline_l2, offline_h1, rng
+    ):
+        offline = offline_h1 if kind is CriterionKind.JA_H1 else offline_l2
+        R = random_stiefel(rng, 10, 3)
+        vg = make_criterion(kind, offline)
+        value, grad = vg(R)
+        singles = [make_criterion(kind, [d])(R) for d in offline]
+        for (single, _), data in zip(singles, offline):
+            dense = _dense_single_value(kind, R, data)
+            assert single == pytest.approx(dense, rel=1e-10, abs=1e-14)
+        assert value == pytest.approx(sum(v for v, _ in singles), rel=1e-13)
+        np.testing.assert_allclose(
+            grad, sum(g for _, g in singles), rtol=1e-12, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_ill_conditioned_config_mid_stack_is_named(
+        self, kind, offline_l2, offline_h1
+    ):
+        offline = list(offline_h1 if kind is CriterionKind.JA_H1 else offline_l2)
+        # nearly coincident centers: the two blocks span almost the same
+        # functions, so the overlap has condition number ~1e13
+        bad = offline[4]
+        n = bad.n_funcs
+        coupling = np.array([[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]])
+        overlap = np.kron(coupling, bad.s_b[:n, :n])
+        offline[4] = dataclasses.replace(bad, s_a_b=overlap, s_b=overlap)
+        with pytest.raises(OvercompletenessError) as exc_info:
+            make_criterion(kind, offline)(hbs_coefficients(10, 2))
+        assert exc_info.value.a == bad.a
+        assert exc_info.value.cond > 1e12
+        assert f"a={bad.a}" in str(exc_info.value)
 
 
 def test_block_compression_identity(offline_l2, rng):

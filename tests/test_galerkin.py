@@ -57,6 +57,15 @@ class TestReducedOverlap:
             reduced_overlap(S, R), I_R.T @ S @ I_R, atol=1e-12
         )
 
+    def test_stack_matches_dense_products(self, rng):
+        R = random_stiefel(rng, 6, 2)
+        S = rng.standard_normal((3, 12, 12))
+        I_R = expand(R)
+        expected = [I_R.T @ (s + s.T) @ I_R for s in S]
+        np.testing.assert_allclose(
+            reduced_overlap(S + np.swapaxes(S, 1, 2), R), expected, atol=1e-12
+        )
+
     def test_hbs_diagonal_blocks(self, rng):
         sigma = 0.1 * rng.standard_normal((4, 4))
         S = np.block([[np.eye(4), sigma], [sigma.T, np.eye(4)]])
@@ -96,6 +105,23 @@ class TestInvSqrtSpd:
         with pytest.raises(OvercompletenessError) as exc_info:
             inv_sqrt_spd(np.diag([1e9, 1.0]), cond_limit=1e6)
         assert exc_info.value.cond == pytest.approx(1e9)
+
+    def test_stack_matches_single_matrices(self, rng):
+        M = rng.standard_normal((5, 4, 4))
+        stack = M @ np.swapaxes(M, 1, 2) + 0.5 * np.eye(4)
+        result, cond = inv_sqrt_spd(stack)
+        assert result.shape == (5, 4, 4) and cond.shape == (5,)
+        for S, res, c in zip(stack, result, cond):
+            single, single_cond = inv_sqrt_spd(S)
+            np.testing.assert_allclose(res, single, rtol=1e-12, atol=1e-14)
+            assert c == pytest.approx(single_cond, rel=1e-12)
+
+    def test_stack_names_first_bad_matrix(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, -1.0])])
+        with pytest.raises(OvercompletenessError) as exc_info:
+            inv_sqrt_spd(stack, a=[1.5, 2.0, 2.5])
+        assert exc_info.value.a == 2.0
+        assert exc_info.value.cond == np.inf
 
 
 class TestReducedGroundPair:
@@ -144,6 +170,17 @@ class TestReducedGroundPair:
             assert all(
                 e_next <= e + 1e-12 for e, e_next in zip(energies, energies[1:])
             )
+
+    def test_stack_matches_single_solves(self, offline_l2):
+        R = hbs_coefficients(10, 3)
+        H = np.stack([d.m_e_offline for d in offline_l2])
+        S = np.stack([d.s_b for d in offline_l2])
+        stacked = reduced_ground_pair(H, S, R, a=[d.a for d in offline_l2])
+        for k, data in enumerate(offline_l2):
+            pair = reduced_ground_pair(data.m_e_offline, data.s_b, R)
+            assert stacked.energy[k] == pytest.approx(pair.energy, rel=1e-13)
+            assert stacked.mu3[k] == pytest.approx(pair.mu3, rel=1e-13)
+            assert stacked.cond[k] == pytest.approx(pair.cond, rel=1e-10)
 
     def test_full_space_matches_dense_rayleigh_ritz(self, grid_main):
         # dual route: generalized eigensolver on the explicit columns

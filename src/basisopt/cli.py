@@ -1,8 +1,8 @@
 """Command-line driver: offline references, optimization, evaluation, CSV
 reports.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure,
-4 non-convergence under --strict.
+Exit codes: 0 success, 2 configuration, usage or I/O error, 3 numerical
+failure, 4 non-convergence under --strict.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from . import __version__
 from .criteria import CriterionKind, eval_JA, eval_JE, make_criterion
 from .evaluate import (
     CURVE_A_MAX,
+    curve_point,
     default_curve_points,
     density_error,
-    energy_curve,
     overlap_condition_sweep,
 )
 from .galerkin import OvercompletenessError, expand, hbs_coefficients
@@ -33,11 +33,10 @@ from .reference import (
     NumericalFailure,
     build_offline,
     cache_key,
-    load_cached,
-    save_offline_entry,
-    build_offline_single,
-    uniform_measure,
     default_measure,
+    load_or_build,
+    solve_configuration,
+    uniform_measure,
 )
 from .stiefel import OptimSettings, minimize, random_stiefel
 
@@ -171,19 +170,29 @@ def _validate(cfg: RunConfig):
 # -- artifacts ----------------------------------------------------------------
 
 
-def save_artifact(path: str, R: np.ndarray, cfg: RunConfig, report) -> None:
-    doc = {
+def _artifact_grid(cfg: RunConfig) -> dict:
+    return {"x_max": cfg.grid().x_max, "n_points": cfg.n_points}
+
+
+def _artifact_doc(cfg: RunConfig, R, n_basis: int, criterion: str) -> dict:
+    return {
         "schema_version": ARTIFACT_SCHEMA,
         "tool_version": __version__,
-        "R": R.tolist(),
+        "R": R,
         "n_funcs": cfg.n_funcs,
-        "n_basis": cfg.n_basis,
-        "criterion": cfg.criterion.value,
-        "grid": {"x_max": cfg.grid().x_max, "n_points": cfg.n_points},
+        "n_basis": n_basis,
+        "criterion": criterion,
+        "grid": _artifact_grid(cfg),
         "measure": {
             "points": list(cfg.measure.points),
             "weights": list(cfg.measure.weights),
         },
+    }
+
+
+def save_artifact(path: str, R: np.ndarray, cfg: RunConfig, report) -> None:
+    doc = {
+        **_artifact_doc(cfg, R.tolist(), cfg.n_basis, cfg.criterion.value),
         "final_value": report.final_value,
         "iterations": report.iterations,
         "converged": report.converged,
@@ -198,31 +207,24 @@ def save_artifact(path: str, R: np.ndarray, cfg: RunConfig, report) -> None:
 
 
 def load_artifact(path: str) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["R"] = np.asarray(doc["R"], dtype=float)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"unreadable artifact {path}: {exc!r}") from exc
     if doc.get("schema_version") != ARTIFACT_SCHEMA:
         raise ConfigError(f"unsupported artifact schema in {path}")
-    doc["R"] = np.asarray(doc["R"], dtype=float)
+    if not {"n_funcs", "n_basis", "criterion", "grid"} <= doc.keys():
+        raise ConfigError(f"artifact {path} lacks n_funcs, n_basis, criterion or grid")
     return doc
 
 
 def hbs_artifact(cfg: RunConfig, n_basis: int | None = None) -> dict:
     """Pseudo-artifact for the plain Hermite basis (no optimization)."""
     nb = cfg.n_basis if n_basis is None else n_basis
-    return {
-        "schema_version": ARTIFACT_SCHEMA,
-        "tool_version": __version__,
-        "R": hbs_coefficients(cfg.n_funcs, nb),
-        "n_funcs": cfg.n_funcs,
-        "n_basis": nb,
-        "criterion": "HBS",
-        "grid": {"x_max": cfg.grid().x_max, "n_points": cfg.n_points},
-        "measure": {
-            "points": list(cfg.measure.points),
-            "weights": list(cfg.measure.weights),
-        },
-        "label": f"HBS_Nb{nb}",
-    }
+    R = hbs_coefficients(cfg.n_funcs, nb)
+    return {**_artifact_doc(cfg, R, nb, "HBS"), "label": f"HBS_Nb{nb}"}
 
 
 def _artifact_label(doc: dict) -> str:
@@ -252,28 +254,12 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 def cmd_reference(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
-    metric = cfg.criterion.metric
-    try:
-        os.makedirs(cfg.cache_dir, exist_ok=True)
-        probe = os.path.join(cfg.cache_dir, ".write_probe")
-        with open(probe, "w"):
-            pass
-        os.unlink(probe)
-    except OSError as exc:
-        raise ConfigError(f"cache directory not writable: {cfg.cache_dir} ({exc})")
-    fresh = recomputed = 0
-    for a, w in zip(cfg.measure.points, cfg.measure.weights):
-        if load_cached(cfg.cache_dir, grid, a, cfg.n_funcs, metric) is not None:
-            fresh += 1
-            status = "cached"
-        else:
-            data = build_offline_single(grid, a, w, cfg.n_funcs, metric)
-            save_offline_entry(cfg.cache_dir, grid, data, metric)
-            recomputed += 1
-            status = "computed"
-        key = cache_key(grid, a, cfg.n_funcs, metric)
-        print(f"a={a:.6f}  metric={metric}  key={key}  {status}")
-    print(f"reference: {recomputed} computed, {fresh} already cached")
+    counts = {"computed": 0, "cached": 0, "rebuilt": 0}
+    for a in cfg.measure.points:
+        _, status = load_or_build(grid, a, cfg.n_funcs, cfg.cache_dir)
+        counts[status] += 1
+        print(f"a={a:.6f}  key={cache_key(grid, a, cfg.n_funcs)}  {status}")
+    print("reference: " + ", ".join(f"{n} {s}" for s, n in counts.items()))
     return 0
 
 
@@ -317,16 +303,21 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 
 
 def _gather_artifacts(cfg: RunConfig, args) -> list[dict]:
+    if not all(1 <= nb <= cfg.n_funcs for nb in args.hbs or []):
+        raise ConfigError(f"--hbs needs 1 <= N_B <= n_funcs = {cfg.n_funcs}")
     docs = [load_artifact(p) for p in args.artifacts]
-    for nb in args.hbs or []:
-        docs.append(hbs_artifact(cfg, nb))
+    docs += [hbs_artifact(cfg, nb) for nb in args.hbs or []]
     if not docs:
         raise ConfigError("no artifacts given (paths or --hbs)")
-    ref = docs[0]
-    for doc in docs[1:]:
-        if doc["grid"] != ref["grid"] or doc["n_funcs"] != ref["n_funcs"]:
+    grid = _artifact_grid(cfg)
+    for doc in docs:
+        shape = (cfg.n_funcs, doc["n_basis"])
+        dims = (doc["n_funcs"], doc["R"].shape)
+        if doc["grid"] != grid or dims != (cfg.n_funcs, shape):
             raise ConfigError(
-                "artifacts have incompatible grid or basis dimensions"
+                f"artifact {_artifact_label(doc)} (grid {doc['grid']}, R of shape "
+                f"{doc['R'].shape}) does not match the configuration (grid {grid}, "
+                f"(n_funcs, n_basis) = {shape})"
             )
     return docs
 
@@ -368,20 +359,26 @@ def cmd_report(cfg: RunConfig, args) -> int:
     # end the curve where the box still holds the basis tails
     a_end = min(CURVE_A_MAX, grid.x_max - R_MAX)
     a_values = default_curve_points(cfg.curve_points, a_end)
-    for doc in docs:
+    curves = [[] for _ in docs]
+    errors = [[] for _ in docs]
+    # one FD solve per curve point, shared by every artifact
+    for a in a_values:
+        fd = solve_configuration(grid, a, cfg.n_funcs)
+        record, _ = load_or_build(grid, a, cfg.n_funcs, cfg.cache_dir, fd)
+        for doc, curve, error in zip(docs, curves, errors):
+            curve.append(curve_point(doc["R"], record))
+            error.append(density_error(doc["R"], a, grid, cfg.n_funcs, fd, record))
+    for doc, curve, error in zip(docs, curves, errors):
         label = _artifact_label(doc)
-        R = doc["R"]
-        curve = energy_curve(R, a_values, grid, cfg.n_funcs, cfg.cache_dir)
         write_csv(
             os.path.join(cfg.out_dir, f"energy_curve_{label}.csv"),
             ["a", "E_ref", "E_basis", "abs_error", "cond"],
             [(p.a, p.e_ref, p.e_basis, p.abs_error, p.cond) for p in curve],
         )
-        errors = [density_error(R, a, grid, cfg.n_funcs) for a in a_values]
         write_csv(
             os.path.join(cfg.out_dir, f"density_error_{label}.csv"),
             ["a", "l1", "h1", "vw"],
-            [(e.a, e.l1, e.h1, e.vw) for e in errors],
+            [(e.a, e.l1, e.h1, e.vw) for e in error],
         )
         _write_basis_functions(cfg, grid, doc, label)
     sweep_a = np.geomspace(0.1, CURVE_A_MAX, 40)
@@ -414,6 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="basisopt",
         description="Optimal atom-centered basis sets for the 1D double-well "
         "diatomic model.",
+        epilog="Measure weights: [measure] kind = uniform gives each point the "
+        "spacing (a_max - a_min) / (count - 1) as its weight (1.0 for a single "
+        "point); kind = explicit without a weights key gives each point "
+        "weight 1.0.",
     )
     parser.add_argument("--config", help="INI run configuration file")
     parser.add_argument("--cache", help="offline cache directory")
@@ -423,7 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true", help="exit 4 on non-convergence"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("reference", help="populate the offline cache")
+    sub.add_parser(
+        "reference",
+        help="populate the offline cache",
+        description="One cache entry per (grid, a, n_funcs) serves L2 and H1. "
+        "Each configuration is reported as computed (no entry: FD solve, entry "
+        "written), cached (entry read) or rebuilt (unreadable or foreign entry "
+        "replaced).",
+    )
     sub.add_parser("optimize", help="optimize a basis and store the artifact")
     for name, help_ in (
         ("evaluate", "criterion values for stored artifacts"),
@@ -458,6 +466,9 @@ def main(argv=None) -> int:
         return handler(cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # e.g. a cache or output directory not writable
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailure, OvercompletenessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -8,9 +8,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .galerkin import OvercompletenessError, lcao_density, reduced_ground_pair
-from .grid import Grid, fd_hamiltonian
-from .hermite import assemble_dimer, hermite_functions
-from .reference import build_offline_single, solve_ground_pair
+from .grid import Grid
+from .hermite import hermite_functions
+from .reference import (
+    OfflineRecord,
+    SolvedConfiguration,
+    build_offline_single,
+    load_or_build,
+    solve_configuration,
+)
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,26 @@ def default_curve_points(count: int = 50, a_max: float = CURVE_A_MAX) -> np.ndar
     return np.linspace(1.5, a_max, count)
 
 
+def curve_point(R: np.ndarray, record: OfflineRecord) -> CurvePoint:
+    """Reference vs reduced ground-state energy at one configuration.
+
+    Overcompleteness failures are recorded as NaN points, not raised, so a
+    sweep into the ill-conditioned small-a region stays usable.
+    """
+    try:
+        pair = reduced_ground_pair(record.m_e, record.s_b, R, a=record.a)
+        e_basis, cond = pair.energy, pair.cond
+    except OvercompletenessError as exc:
+        e_basis, cond = np.nan, exc.cond
+    return CurvePoint(
+        a=record.a,
+        e_ref=record.e_ref,
+        e_basis=float(e_basis),
+        abs_error=float(abs(record.e_ref - e_basis)),
+        cond=float(cond),
+    )
+
+
 def energy_curve(
     R: np.ndarray,
     a_values,
@@ -51,42 +77,11 @@ def energy_curve(
     n_funcs: int,
     cache_dir: str | None = None,
 ) -> list[CurvePoint]:
-    """Reference vs reduced ground-state energies along the curve.
-
-    Overcompleteness failures are recorded as NaN points, not raised, so a
-    sweep into the ill-conditioned small-a region stays usable.
-    """
-    points = []
-    for a in np.asarray(a_values, dtype=float):
-        data = _offline_at(grid, a, n_funcs, cache_dir)
-        try:
-            pair = reduced_ground_pair(data.m_e_offline, data.s_b, R, a=a)
-            e_basis, cond = pair.energy, pair.cond
-        except OvercompletenessError as exc:
-            e_basis, cond = np.nan, exc.cond
-        points.append(
-            CurvePoint(
-                a=float(a),
-                e_ref=data.e_ref,
-                e_basis=float(e_basis),
-                abs_error=float(abs(data.e_ref - e_basis)),
-                cond=float(cond),
-            )
-        )
-    return points
-
-
-def _offline_at(grid, a, n_funcs, cache_dir):
-    from .reference import load_cached, save_offline_entry
-
-    if cache_dir is not None:
-        cached = load_cached(cache_dir, grid, a, n_funcs, "L2")
-        if cached is not None:
-            return cached
-    data = build_offline_single(grid, a, 1.0, n_funcs, "L2")
-    if cache_dir is not None:
-        save_offline_entry(cache_dir, grid, data, "L2")
-    return data
+    """Reference vs reduced ground-state energies along the curve."""
+    return [
+        curve_point(R, load_or_build(grid, a, n_funcs, cache_dir)[0])
+        for a in np.asarray(a_values, dtype=float)
+    ]
 
 
 def _diff(values: np.ndarray, dx: float) -> np.ndarray:
@@ -99,15 +94,25 @@ def _diff(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def density_error(
-    R: np.ndarray, a: float, grid: Grid, n_funcs: int
+    R: np.ndarray,
+    a: float,
+    grid: Grid,
+    n_funcs: int,
+    fd: SolvedConfiguration | None = None,
+    record: OfflineRecord | None = None,
 ) -> DensityError:
-    """L1, H1 and von-Weizsacker distances between LCAO and FD densities."""
-    ref = solve_ground_pair(fd_hamiltonian(grid, a), grid)
-    rho_ref = (ref.phi1**2 + ref.phi2**2) / grid.dx
-    basis = assemble_dimer(grid, a, n_funcs)
-    data = build_offline_single(grid, a, 1.0, n_funcs, "L2")
-    pair = reduced_ground_pair(data.m_e_offline, data.s_b, R, a=a)
-    rho = lcao_density(basis.columns, R, pair.C, grid)
+    """L1, H1 and von-Weizsacker distances between LCAO and FD densities.
+
+    A caller that evaluates several bases at a passes its FD solve and
+    offline record, so they are made once.
+    """
+    if fd is None:
+        fd = solve_configuration(grid, a, n_funcs)
+    if record is None:
+        record = build_offline_single(grid, a, 1.0, n_funcs, None, fd)
+    rho_ref = (fd.pair.phi1**2 + fd.pair.phi2**2) / grid.dx
+    pair = reduced_ground_pair(record.m_e, record.s_b, R, a=a)
+    rho = lcao_density(fd.basis, R, pair.C, grid)
 
     delta = rho - rho_ref
     d_delta = _diff(delta, grid.dx)

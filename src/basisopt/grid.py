@@ -108,6 +108,16 @@ def fd_hamiltonian(grid: Grid, a: float) -> TridiagOperator:
     return TridiagOperator(diag=diag, offdiag=offdiag)
 
 
+def fd_gradient(v: np.ndarray) -> np.ndarray:
+    """D v: differences over the n_points + 1 cells, with the Dirichlet
+    zeros at both ends; the 3-point FD -Laplacian is D^T D / dx^2."""
+    d = np.empty((v.shape[0] + 1, *v.shape[1:]))
+    d[0] = v[0]
+    np.subtract(v[1:], v[:-1], out=d[1:-1])
+    d[-1] = -v[-1]
+    return d
+
+
 def h1_metric(grid: Grid) -> TridiagOperator:
     """H1 metric I - Laplacian with the 3-point FD Laplacian; SPD."""
     inv_dx2 = 1.0 / grid.dx**2

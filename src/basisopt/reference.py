@@ -3,9 +3,9 @@
 All per-configuration quantities that do not depend on the coefficient
 matrix R are precomputed here: the reference energy, the compressed
 density-matrix factor (M_A^offline), the compressed Hamiltonian
-(M_E^offline) and the Hermite-block overlaps. The rank-2 FD density matrix
-is never materialized; it enters only through the 2 x 2N factor
-G = Phi^T A B_a.
+(M_E^offline) and the Hermite-block overlaps, for L2 and H1 alike from
+one FD solve. The rank-2 FD density matrix is never materialized; it enters
+only through the 2 x 2N factor G = Phi^T A B_a.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import hashlib
 import json
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .grid import Grid, TridiagOperator, fd_hamiltonian, h1_metric
+from .grid import Grid, TridiagOperator, fd_gradient, fd_hamiltonian
 from .hermite import assemble_dimer
 
 METRICS = ("L2", "H1")
@@ -92,6 +92,8 @@ def uniform_measure(a_min: float, a_max: float, count: int) -> Measure:
 
 def solve_ground_pair(H: TridiagOperator, grid: Grid) -> GroundPair:
     """Two lowest eigenpairs of the symmetric tridiagonal FD Hamiltonian."""
+    import scipy.linalg  # only FD solves need scipy; keep it off start-up
+
     try:
         vals, vecs = scipy.linalg.eigh_tridiagonal(
             H.diag, H.offdiag, select="i", select_range=(0, 1)
@@ -111,6 +113,24 @@ def solve_ground_pair(H: TridiagOperator, grid: Grid) -> GroundPair:
 
 
 @dataclass(frozen=True)
+class SolvedConfiguration:
+    """FD Hamiltonian, its ground pair and the dimer basis B at one a."""
+
+    hamiltonian: TridiagOperator = field(repr=False)
+    pair: GroundPair = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+
+
+def solve_configuration(grid: Grid, a: float, n_funcs: int) -> SolvedConfiguration:
+    H = fd_hamiltonian(grid, a)
+    try:
+        pair = solve_ground_pair(H, grid)
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"reference solve failed at a={a}: {exc}") from exc
+    return SolvedConfiguration(H, pair, assemble_dimer(grid, a, n_funcs).columns)
+
+
+@dataclass(frozen=True)
 class OfflineConfigData:
     """R-independent compressed matrices for one configuration."""
 
@@ -127,12 +147,34 @@ class OfflineConfigData:
         return self.s_b.shape[0] // 2
 
 
-def _metric_operator(grid: Grid, metric: str):
-    if metric == "L2":
-        return None  # identity; skip the matvec entirely
-    if metric == "H1":
-        return h1_metric(grid)
-    raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+@dataclass(frozen=True)
+class OfflineRecord:
+    """What the cache stores for one configuration; with -Laplacian =
+    D^T D / dx^2, H1 = I - Laplacian gives G_H1 = g + g_lap and
+    S_H1 = s_b + s_lap."""
+
+    a: float
+    e_ref: float
+    g: np.ndarray = field(repr=False)  # Phi^T B, 2 x 2N
+    g_lap: np.ndarray = field(repr=False)  # Phi^T (-Laplacian) B
+    s_b: np.ndarray = field(repr=False)  # B^T B
+    m_e: np.ndarray = field(repr=False)  # B^T H_FD B
+    s_lap: np.ndarray = field(repr=False)  # B^T (-Laplacian) B
+
+    def offline(self, metric: str, weight: float) -> OfflineConfigData:
+        if metric == "L2":
+            g, s_a_b = self.g, self.s_b
+        elif metric == "H1":
+            g, s_a_b = self.g + self.g_lap, self.s_b + self.s_lap
+        else:
+            raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+        m_a = _symmetrize(g.T @ g)
+        return OfflineConfigData(
+            self.a, weight, self.e_ref, m_a, s_a_b, self.m_e, self.s_b
+        )
+
+
+_RECORD_ARRAYS = ("g", "g_lap", "s_b", "m_e", "s_lap")
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -140,28 +182,31 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def build_offline_single(
-    grid: Grid, a: float, weight: float, n_funcs: int, metric: str = "L2"
-) -> OfflineConfigData:
-    """Offline matrices for one configuration."""
-    A = _metric_operator(grid, metric)
-    H = fd_hamiltonian(grid, a)
-    try:
-        pair = solve_ground_pair(H, grid)
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"reference solve failed at a={a}: {exc}") from exc
-    B = assemble_dimer(grid, a, n_funcs).columns
-    AB = B if A is None else A.matvec(B)
-    phis = np.column_stack([pair.phi1, pair.phi2])
-    G = phis.T @ AB  # 2 x 2N factor of the projected density matrix
-    return OfflineConfigData(
+    grid: Grid,
+    a: float,
+    weight: float,
+    n_funcs: int,
+    metric: str | None = "L2",
+    fd: SolvedConfiguration | None = None,
+) -> OfflineConfigData | OfflineRecord:
+    """Offline matrices for one configuration from one FD solve, or from
+    `fd` when the caller has solved it; metric=None gives the record."""
+    if fd is None:
+        fd = solve_configuration(grid, a, n_funcs)
+    B = fd.basis
+    phis = np.column_stack([fd.pair.phi1, fd.pair.phi2])
+    DB = fd_gradient(B)
+    inv_dx2 = 1.0 / grid.dx**2
+    record = OfflineRecord(
         a=float(a),
-        weight=float(weight),
-        e_ref=pair.energy,
-        m_a_offline=_symmetrize(G.T @ G),
-        s_a_b=_symmetrize(B.T @ AB),
-        m_e_offline=_symmetrize(B.T @ H.matvec(B)),
+        e_ref=fd.pair.energy,
+        g=phis.T @ B,
+        g_lap=(fd_gradient(phis).T @ DB) * inv_dx2,
         s_b=_symmetrize(B.T @ B),
+        m_e=_symmetrize(B.T @ fd.hamiltonian.matvec(B)),
+        s_lap=_symmetrize(DB.T @ DB) * inv_dx2,
     )
+    return record if metric is None else record.offline(metric, float(weight))
 
 
 def build_offline(
@@ -171,87 +216,53 @@ def build_offline(
     metric: str = "L2",
     cache_dir: str | None = None,
 ) -> list[OfflineConfigData]:
-    """Offline matrices for every support point of the measure.
-
-    With cache_dir set, entries are loaded from disk when fresh and written
-    atomically when recomputed.
-    """
-    out = []
-    for a, w in zip(measure.points, measure.weights):
-        if cache_dir is not None:
-            data = load_cached(cache_dir, grid, a, n_funcs, metric)
-            if data is not None:
-                out.append(
-                    OfflineConfigData(
-                        a=data.a,
-                        weight=float(w),
-                        e_ref=data.e_ref,
-                        m_a_offline=data.m_a_offline,
-                        s_a_b=data.s_a_b,
-                        m_e_offline=data.m_e_offline,
-                        s_b=data.s_b,
-                    )
-                )
-                continue
-        data = build_offline_single(grid, a, w, n_funcs, metric)
-        if cache_dir is not None:
-            save_offline_entry(cache_dir, grid, data, metric)
-        out.append(data)
-    return out
+    """Offline matrices for every support point of the measure, through
+    the cache when cache_dir is set."""
+    return [
+        load_or_build(grid, a, n_funcs, cache_dir)[0].offline(metric, float(w))
+        for a, w in zip(measure.points, measure.weights)
+    ]
 
 
 # -- offline cache -----------------------------------------------------------
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
-def cache_key(grid: Grid, a: float, n_funcs: int, metric: str) -> str:
+def _entry_meta(grid: Grid, a: float, n_funcs: int) -> dict:
+    meta = {
+        "schema": CACHE_SCHEMA,
+        "x_max": grid.x_max,
+        "n_points": grid.n_points,
+        "a": float(a),
+        "n_funcs": int(n_funcs),
+    }
+    payload = json.dumps(meta, sort_keys=True).encode()
+    return {**meta, "key": hashlib.sha256(payload).hexdigest()[:16]}
+
+
+def cache_key(grid: Grid, a: float, n_funcs: int) -> str:
     """Content hash identifying one offline entry."""
-    payload = json.dumps(
-        {
-            "schema": CACHE_SCHEMA,
-            "x_max": grid.x_max,
-            "n_points": grid.n_points,
-            "a": float(a),
-            "n_funcs": int(n_funcs),
-            "metric": metric,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _entry_meta(grid, a, n_funcs)["key"]
 
 
 def _cache_path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, f"offline_{key}.npz")
 
 
-def save_offline_entry(
-    cache_dir: str, grid: Grid, data: OfflineConfigData, metric: str
-) -> str:
-    """Atomically persist one offline entry; returns the file path."""
+def save_offline_entry(cache_dir: str, grid: Grid, record: OfflineRecord) -> str:
+    """Atomically persist one offline record; returns the file path."""
     os.makedirs(cache_dir, exist_ok=True)
-    key = cache_key(grid, data.a, data.n_funcs, metric)
-    meta = {
-        "schema": CACHE_SCHEMA,
-        "key": key,
-        "x_max": grid.x_max,
-        "n_points": grid.n_points,
-        "a": data.a,
-        "n_funcs": data.n_funcs,
-        "metric": metric,
-    }
-    path = _cache_path(cache_dir, key)
+    meta = _entry_meta(grid, record.a, record.s_b.shape[0] // 2)
+    path = _cache_path(cache_dir, meta["key"])
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".npz.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(
                 fh,
                 meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                e_ref=np.float64(data.e_ref),
-                m_a_offline=data.m_a_offline,
-                s_a_b=data.s_a_b,
-                m_e_offline=data.m_e_offline,
-                s_b=data.s_b,
+                e_ref=np.float64(record.e_ref),
+                **{name: getattr(record, name) for name in _RECORD_ARRAYS},
             )
         os.replace(tmp, path)
     finally:
@@ -261,22 +272,42 @@ def save_offline_entry(
 
 
 def load_cached(
-    cache_dir: str, grid: Grid, a: float, n_funcs: int, metric: str
-) -> OfflineConfigData | None:
-    """Load a cached offline entry, or None when absent."""
-    path = _cache_path(cache_dir, cache_key(grid, a, n_funcs, metric))
+    cache_dir: str, grid: Grid, a: float, n_funcs: int
+) -> OfflineRecord | None:
+    """Load a cached record, or None when it is absent, unreadable or
+    foreign (its metadata names another schema, key, grid, a or n_funcs)."""
+    meta = _entry_meta(grid, a, n_funcs)
+    path = _cache_path(cache_dir, meta["key"])
     if not os.path.exists(path):
         return None
-    with np.load(path) as npz:
-        meta = json.loads(bytes(npz["meta"]).decode())
-        if meta["schema"] != CACHE_SCHEMA:
-            return None
-        return OfflineConfigData(
-            a=float(meta["a"]),
-            weight=1.0,  # weights belong to the measure, not the cache
-            e_ref=float(npz["e_ref"]),
-            m_a_offline=npz["m_a_offline"],
-            s_a_b=npz["s_a_b"],
-            m_e_offline=npz["m_e_offline"],
-            s_b=npz["s_b"],
-        )
+    try:
+        with np.load(path) as npz:
+            if json.loads(bytes(npz["meta"]).decode()) != meta:
+                return None
+            arrays = [npz[name] for name in _RECORD_ARRAYS]
+            return OfflineRecord(meta["a"], float(npz["e_ref"]), *arrays)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+
+
+def load_or_build(
+    grid: Grid,
+    a: float,
+    n_funcs: int,
+    cache_dir: str | None = None,
+    fd: SolvedConfiguration | None = None,
+) -> tuple[OfflineRecord, str]:
+    """The record of one configuration and its status: "cached", "computed"
+    (no entry) or "rebuilt" (an unreadable or foreign entry replaced); a miss
+    builds from `fd` when the caller has solved the configuration already."""
+    status = "computed"
+    if cache_dir is not None:
+        record = load_cached(cache_dir, grid, a, n_funcs)
+        if record is not None:
+            return record, "cached"
+        if os.path.exists(_cache_path(cache_dir, cache_key(grid, a, n_funcs))):
+            status = "rebuilt"
+    record = build_offline_single(grid, a, 1.0, n_funcs, None, fd)
+    if cache_dir is not None:
+        save_offline_entry(cache_dir, grid, record)
+    return record, status

@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import basisopt
+from basisopt import reference
 from basisopt.cli import (
     ConfigError,
     RunConfig,
@@ -49,6 +54,21 @@ def run(args, tmp_path, config=None):
     if config:
         argv += ["--config", config]
     return main(argv + args)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The FD eigensolves made while the test runs."""
+    calls = []
+    solve = reference.solve_ground_pair
+    monkeypatch.setattr(
+        reference, "solve_ground_pair", lambda *args: calls.append(args) or solve(*args)
+    )
+    return calls
+
+
+def snapshot(directory):
+    return {p.name: p.stat().st_mtime_ns for p in directory.iterdir()}
 
 
 class TestConfig:
@@ -102,6 +122,22 @@ class TestReference:
     def test_default_config_ten_entries(self, tmp_path):
         assert run(["reference"], tmp_path) == 0
         assert len(os.listdir(tmp_path / "cache")) == 10
+
+    def test_corrupt_entry_rebuilt(self, tmp_path, small_config, capsys):
+        run(["reference"], tmp_path, small_config)
+        entries = sorted((tmp_path / "cache").iterdir())
+
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[:100])
+
+        truncate(entries[0])
+        assert run(["optimize"], tmp_path, small_config) == 0
+        truncate(entries[1])
+        capsys.readouterr()
+        assert run(["reference"], tmp_path, small_config) == 0
+        out = capsys.readouterr().out
+        assert "0 computed, 2 cached, 1 rebuilt" in out
+        assert sorted((tmp_path / "cache").iterdir()) == entries
 
     def test_unwritable_cache_dir(self, small_config, tmp_path, capsys):
         blocked = tmp_path / "blocked"
@@ -179,6 +215,20 @@ class TestEvaluateReport:
     def test_no_artifacts_is_usage_error(self, tmp_path, small_config):
         assert run(["evaluate"], tmp_path, small_config) == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize(
+        "mismatch", [{"n_funcs": 10}, {"n_points": 999}], ids=["n_funcs", "grid"]
+    )
+    def test_artifact_config_mismatch(
+        self, tmp_path, small_config, capsys, command, mismatch
+    ):
+        doc = hbs_artifact(replace(load_config(small_config), **mismatch), 1)
+        doc["R"] = doc["R"].tolist()
+        path = tmp_path / "alien.json"
+        path.write_text(json.dumps(doc))
+        assert run([command, str(path)], tmp_path, small_config) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_incompatible_artifacts_rejected(self, tmp_path, small_config):
         cfg = load_config(small_config)
         doc = hbs_artifact(cfg, 1)
@@ -193,3 +243,40 @@ class TestEvaluateReport:
 def test_hbs_artifact_is_identity_prefix():
     doc = hbs_artifact(RunConfig(), 3)
     np.testing.assert_array_equal(doc["R"], np.eye(10)[:, :3])
+
+
+class TestStartupAndSolves:
+    def test_import_cli_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(basisopt.__file__))
+        code = (
+            "import sys, basisopt.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_report_one_solve_per_curve_point(self, tmp_path, solves):
+        path = tmp_path / "rep.ini"
+        path.write_text(SMALL_CONFIG + "\n[report]\ncurve_points = 4\n")
+        args = ["report", "--hbs", "1", "--hbs", "2"]
+        assert run(args, tmp_path, str(path)) == 0
+        assert len(solves) == 4
+        cold = snapshot(tmp_path / "cache")
+        solves.clear()
+        assert run(args, tmp_path, str(path)) == 0
+        assert len(solves) == 4
+        assert snapshot(tmp_path / "cache") == cold
+
+    def test_evaluate_after_reference_solves_nothing(
+        self, tmp_path, small_config, solves
+    ):
+        assert run(["reference"], tmp_path, small_config) == 0
+        solves.clear()
+        assert run(["evaluate", "--hbs", "1"], tmp_path, small_config) == 0
+        assert solves == []

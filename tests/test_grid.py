@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from basisopt.grid import (
     build_grid,
+    fd_gradient,
     fd_hamiltonian,
     h1_metric,
     potential,
@@ -118,6 +119,19 @@ class TestH1Metric:
         A = h1_metric(g)
         vals = scipy.linalg.eigh_tridiagonal(A.diag, A.offdiag, eigvals_only=True)
         assert vals[0] >= 1.0 - 1e-12
+
+    def test_gradient_factors_the_laplacian(self, rng):
+        # D^T D / dx^2 is the metric's Laplacian part: A - I
+        g = build_grid(3.0, 29)
+        neg_laplacian = h1_metric(g).to_dense() - np.eye(g.n_points)
+        M = rng.standard_normal((g.n_points, 3))
+        D = fd_gradient(M)
+        assert D.shape == (g.n_points + 1, 3)
+        np.testing.assert_allclose(
+            D.T @ D / g.dx**2, M.T @ neg_laplacian @ M, rtol=1e-12
+        )
+        v = M[:, 0]
+        np.testing.assert_array_equal(fd_gradient(v), D[:, 0])
 
     def test_gaussian_h1_norm(self):
         # analytic H1 norm^2 of exp(-x^2/2): sqrt(pi) + sqrt(pi)/2

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
+from basisopt import reference
 from basisopt.galerkin import hbs_coefficients, reduced_ground_pair
 from basisopt.grid import build_grid, fd_hamiltonian, h1_metric
-from basisopt.hermite import hermite_columns
+from basisopt.hermite import assemble_dimer, hermite_columns
 from basisopt.reference import (
     Measure,
     build_offline,
@@ -11,10 +14,14 @@ from basisopt.reference import (
     cache_key,
     default_measure,
     load_cached,
+    load_or_build,
     save_offline_entry,
     solve_ground_pair,
     uniform_measure,
 )
+
+OFFLINE_FIELDS = ("m_a_offline", "s_a_b", "m_e_offline", "s_b")
+RECORD_FIELDS = ("g", "g_lap", "s_b", "m_e", "s_lap")
 
 
 class TestMeasure:
@@ -143,6 +150,36 @@ class TestBuildOffline:
             assert p10.mu1 <= p5.mu1 + 1e-12
             assert p10.mu2 <= p5.mu2 + 1e-12
 
+    def test_metrics_match_direct_projections(self, grid_main):
+        # L2 keeps the direct expressions bit for bit; H1, assembled from
+        # the factored Laplacian, matches the H1 operator applied to B
+        a, n = 2.3, 6
+        H = fd_hamiltonian(grid_main, a)
+        pair = solve_ground_pair(H, grid_main)
+        B = assemble_dimer(grid_main, a, n).columns
+        phis = np.column_stack([pair.phi1, pair.phi2])
+
+        def sym(m):
+            return 0.5 * (m + m.T)
+
+        for metric, AB in (("L2", B), ("H1", h1_metric(grid_main).matvec(B))):
+            data = build_offline_single(grid_main, a, 1.0, n, metric)
+            G = phis.T @ AB
+            direct = (
+                sym(G.T @ G),
+                sym(B.T @ AB),
+                sym(B.T @ H.matvec(B)),
+                sym(B.T @ B),
+            )
+            assert data.e_ref == pair.energy
+            for name, expected in zip(OFFLINE_FIELDS, direct):
+                got = getattr(data, name)
+                if metric == "L2" or name in ("m_e_offline", "s_b"):
+                    assert np.array_equal(got, expected), (metric, name)
+                else:
+                    scale = np.abs(expected).max()
+                    assert np.abs(got - expected).max() <= 1e-12 * scale, name
+
     def test_compressed_matches_dense_projector(self, rng):
         # small-instance oracle: j_A from the compressed matrices equals
         # -Tr(P_FD Pi A Pi) with the explicit A-orthogonal projector
@@ -171,19 +208,48 @@ class TestBuildOffline:
 
 class TestCache:
     def test_round_trip_bit_exact(self, tmp_path, grid_main):
-        data = build_offline_single(grid_main, 1.5, 0.1, 5, "L2")
-        save_offline_entry(str(tmp_path), grid_main, data, "L2")
-        loaded = load_cached(str(tmp_path), grid_main, 1.5, 5, "L2")
+        record = build_offline_single(grid_main, 1.5, 0.1, 5, None)
+        save_offline_entry(str(tmp_path), grid_main, record)
+        loaded = load_cached(str(tmp_path), grid_main, 1.5, 5)
         assert loaded is not None
-        assert loaded.e_ref == data.e_ref
-        for name in ("m_a_offline", "s_a_b", "m_e_offline", "s_b"):
-            assert np.array_equal(getattr(loaded, name), getattr(data, name))
+        assert (loaded.a, loaded.e_ref) == (record.a, record.e_ref)
+        for name in RECORD_FIELDS:
+            assert np.array_equal(getattr(loaded, name), getattr(record, name))
+
+    @pytest.mark.parametrize("metric", ["L2", "H1"])
+    def test_one_entry_serves_both_metrics(self, tmp_path, grid_main, metric):
+        # data read from the entries equals a fresh build bit for bit
+        m = uniform_measure(1.5, 2.0, 2)
+        other = "H1" if metric == "L2" else "L2"
+        build_offline(grid_main, m, 5, other, str(tmp_path))
+        cached = build_offline(grid_main, m, 5, metric, str(tmp_path))
+        assert len(os.listdir(tmp_path)) == len(m.points)
+        for data, a, w in zip(cached, m.points, m.weights):
+            fresh = build_offline_single(grid_main, a, w, 5, metric)
+            assert (data.a, data.weight, data.e_ref) == (a, w, fresh.e_ref)
+            for name in OFFLINE_FIELDS:
+                assert np.array_equal(getattr(data, name), getattr(fresh, name))
 
     def test_keys_distinguish_parameters(self, grid_main):
-        base = cache_key(grid_main, 1.5, 5, "L2")
-        assert cache_key(grid_main, 1.6, 5, "L2") != base
-        assert cache_key(grid_main, 1.5, 6, "L2") != base
-        assert cache_key(grid_main, 1.5, 5, "H1") != base
+        # the metric is not a parameter: one entry serves L2 and H1
+        base = cache_key(grid_main, 1.5, 5)
+        assert cache_key(grid_main, 1.6, 5) != base
+        assert cache_key(grid_main, 1.5, 6) != base
+        assert cache_key(build_grid(20.0, 999), 1.5, 5) != base
+        assert cache_key(build_grid(21.0, 1999), 1.5, 5) != base
+
+    def test_one_solve_per_configuration(self, tmp_path, grid_main, monkeypatch):
+        calls = []
+        solve = reference.solve_ground_pair
+        monkeypatch.setattr(
+            reference,
+            "solve_ground_pair",
+            lambda *args: calls.append(args) or solve(*args),
+        )
+        m = uniform_measure(1.5, 2.0, 3)
+        build_offline(grid_main, m, 5, "L2", str(tmp_path))
+        build_offline(grid_main, m, 5, "H1", str(tmp_path))
+        assert len(calls) == len(m.points)
 
     def test_build_offline_uses_cache(self, tmp_path, grid_main):
         m = uniform_measure(1.5, 2.0, 2)
@@ -194,4 +260,37 @@ class TestCache:
             assert d1.weight == d2.weight
 
     def test_miss_returns_none(self, tmp_path, grid_main):
-        assert load_cached(str(tmp_path), grid_main, 9.9, 5, "L2") is None
+        assert load_cached(str(tmp_path), grid_main, 9.9, 5) is None
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda path: path.write_bytes(path.read_bytes()[:200]),
+            lambda path: path.write_bytes(b"not an npz archive"),
+            lambda path: np.savez(path, meta=np.array([{}], dtype=object)),
+        ],
+        ids=["truncated", "garbage", "pickled"],
+    )
+    def test_corrupt_entry_is_rebuilt(self, tmp_path, grid_main, corrupt):
+        record, status = load_or_build(grid_main, 1.5, 5, str(tmp_path))
+        assert status == "computed"
+        (path,) = tmp_path.iterdir()
+        corrupt(path)
+        assert load_cached(str(tmp_path), grid_main, 1.5, 5) is None
+        rebuilt, status = load_or_build(grid_main, 1.5, 5, str(tmp_path))
+        assert status == "rebuilt"
+        for name in RECORD_FIELDS:
+            assert np.array_equal(getattr(rebuilt, name), getattr(record, name))
+        assert load_or_build(grid_main, 1.5, 5, str(tmp_path))[1] == "cached"
+        assert os.listdir(tmp_path) == [path.name]  # no temporary file left
+
+    def test_foreign_entry_is_rebuilt(self, tmp_path, grid_main):
+        # a valid entry of another configuration under this key's name
+        load_or_build(grid_main, 1.6, 5, str(tmp_path))
+        (other,) = tmp_path.iterdir()
+        other.rename(tmp_path / f"offline_{cache_key(grid_main, 1.5, 5)}.npz")
+        assert load_cached(str(tmp_path), grid_main, 1.5, 5) is None
+        record, status = load_or_build(grid_main, 1.5, 5, str(tmp_path))
+        assert status == "rebuilt"
+        assert record.a == 1.5
+        assert load_cached(str(tmp_path), grid_main, 1.5, 5).a == 1.5

@@ -29,12 +29,14 @@ from .galerkin import OvercompletenessError, expand, hbs_coefficients
 from .grid import R_MAX, Grid, build_grid, default_x_max
 from .hermite import assemble_dimer
 from .reference import (
+    FDWorkspace,
     Measure,
     NumericalFailure,
     build_offline,
     cache_key,
     default_measure,
     load_or_build,
+    load_or_build_each,
     solve_configuration,
     uniform_measure,
 )
@@ -255,8 +257,9 @@ def write_csv(path: str, header: list[str], rows) -> None:
 def cmd_reference(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     counts = {"computed": 0, "cached": 0, "rebuilt": 0}
-    for a in cfg.measure.points:
-        _, status = load_or_build(grid, a, cfg.n_funcs, cfg.cache_dir)
+    points = cfg.measure.points
+    records = load_or_build_each(grid, points, cfg.n_funcs, cfg.cache_dir)
+    for a, (_, status) in zip(points, records):
         counts[status] += 1
         print(f"a={a:.6f}  key={cache_key(grid, a, cfg.n_funcs)}  {status}")
     print("reference: " + ", ".join(f"{n} {s}" for s, n in counts.items()))
@@ -325,8 +328,14 @@ def _gather_artifacts(cfg: RunConfig, args) -> list[dict]:
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     docs = _gather_artifacts(cfg, args)
     grid = cfg.grid()
+    m = cfg.measure
+    records = [
+        record
+        for record, _ in load_or_build_each(grid, m.points, cfg.n_funcs, cfg.cache_dir)
+    ]
+    # one read per entry serves both metrics
     off = {
-        metric: build_offline(grid, cfg.measure, cfg.n_funcs, metric, cfg.cache_dir)
+        metric: [r.offline(metric, float(w)) for r, w in zip(records, m.weights)]
         for metric in ("L2", "H1")
     }
     rows = []
@@ -353,21 +362,29 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _curves(cfg: RunConfig, grid: Grid, docs: list[dict], a_values):
+    """Energy and density-error curves of every artifact: one FD solve per
+    curve point, shared by every artifact. The workspace lives as long as
+    this loop, so its buffers are freed before the report writes files."""
+    curves = [[] for _ in docs]
+    errors = [[] for _ in docs]
+    workspace = FDWorkspace(grid, cfg.n_funcs)
+    for a in a_values:
+        fd = solve_configuration(grid, a, cfg.n_funcs, workspace)
+        record, _ = load_or_build(grid, a, cfg.n_funcs, cfg.cache_dir, fd, workspace)
+        for doc, curve, error in zip(docs, curves, errors):
+            curve.append(curve_point(doc["R"], record))
+            error.append(density_error(doc["R"], a, grid, cfg.n_funcs, fd, record))
+    return curves, errors
+
+
 def cmd_report(cfg: RunConfig, args) -> int:
     docs = _gather_artifacts(cfg, args)
     grid = cfg.grid()
     # end the curve where the box still holds the basis tails
     a_end = min(CURVE_A_MAX, grid.x_max - R_MAX)
     a_values = default_curve_points(cfg.curve_points, a_end)
-    curves = [[] for _ in docs]
-    errors = [[] for _ in docs]
-    # one FD solve per curve point, shared by every artifact
-    for a in a_values:
-        fd = solve_configuration(grid, a, cfg.n_funcs)
-        record, _ = load_or_build(grid, a, cfg.n_funcs, cfg.cache_dir, fd)
-        for doc, curve, error in zip(docs, curves, errors):
-            curve.append(curve_point(doc["R"], record))
-            error.append(density_error(doc["R"], a, grid, cfg.n_funcs, fd, record))
+    curves, errors = _curves(cfg, grid, docs, a_values)
     for doc, curve, error in zip(docs, curves, errors):
         label = _artifact_label(doc)
         write_csv(

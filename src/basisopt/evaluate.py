@@ -14,7 +14,7 @@ from .reference import (
     OfflineRecord,
     SolvedConfiguration,
     build_offline_single,
-    load_or_build,
+    load_or_build_each,
     solve_configuration,
 )
 
@@ -78,9 +78,10 @@ def energy_curve(
     cache_dir: str | None = None,
 ) -> list[CurvePoint]:
     """Reference vs reduced ground-state energies along the curve."""
+    a_values = np.asarray(a_values, dtype=float)
     return [
-        curve_point(R, load_or_build(grid, a, n_funcs, cache_dir)[0])
-        for a in np.asarray(a_values, dtype=float)
+        curve_point(R, record)
+        for record, _ in load_or_build_each(grid, a_values, n_funcs, cache_dir)
     ]
 
 
@@ -137,8 +138,8 @@ def overlap_condition_sweep(n_basis: int, a_values) -> list[tuple[float, float]]
     quad_grid_x = np.linspace(-30.0, 30.0, 12001)
     dxq = quad_grid_x[1] - quad_grid_x[0]
     for a in np.asarray(a_values, dtype=float):
-        h_plus = hermite_functions(quad_grid_x - a, n_basis)
-        h_minus = hermite_functions(quad_grid_x + a, n_basis)
+        h_plus = hermite_functions(quad_grid_x - a, n_basis).T.copy()
+        h_minus = hermite_functions(quad_grid_x + a, n_basis).T.copy()
         sigma = dxq * (h_plus.T @ h_minus)
         overlap = np.block(
             [[np.eye(n_basis), sigma], [sigma.T, np.eye(n_basis)]]

@@ -15,6 +15,10 @@ import numpy as np
 # default x_max = a_max + R_MAX recovers [-20, 20] for a_max = 5.
 R_MAX = 15.0
 
+# Entries per block of TridiagOperator.matvec's product temporary (128 KiB):
+# it stays in cache and far below a grid-size array.
+_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -49,16 +53,35 @@ class TridiagOperator:
         n = self.diag.shape[0]
         return (n, n)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Apply the operator to a vector or to each column of a matrix."""
+    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply the operator to a vector or to each column of a matrix;
+        the result goes into `out` (not overlapping v) when given.
+
+        Rows go in blocks, so the one temporary is a block of products of
+        at most _BLOCK entries; every entry is rounded as d v + o v_next +
+        o v_prev, in that order, whatever the block size.
+        """
         v = np.asarray(v)
-        out = self.diag[:, None] * v if v.ndim == 2 else self.diag * v
-        if v.ndim == 2:
-            out[:-1] += self.offdiag[:, None] * v[1:]
-            out[1:] += self.offdiag[:, None] * v[:-1]
-        else:
-            out[:-1] += self.offdiag * v[1:]
-            out[1:] += self.offdiag * v[:-1]
+        if out is None:
+            out = np.empty_like(v, dtype=np.result_type(self.diag, v))
+        bcast = (-1,) + (1,) * (v.ndim - 1)
+        d, o = self.diag.reshape(bcast), self.offdiag.reshape(bcast)
+        if o.size and (o == o[0]).all():
+            # a constant off-diagonal (every FD operator here) as stride-0
+            # rows: numpy multiplies by it as by a scalar, without a buffer
+            o = np.broadcast_to(o[:1], o.shape)
+        n = v.shape[0]
+        step = max(1, _BLOCK // max(1, v[0].size))
+        tmp = np.empty((min(step, n), *v.shape[1:]))
+        for s in range(0, n, step):
+            e = min(s + step, n)
+            np.multiply(d[s:e], v[s:e], out=out[s:e])
+            up = min(e, n - 1)  # rows s..up-1 have a next neighbour
+            np.multiply(o[s:up], v[s + 1 : up + 1], out=tmp[: up - s])
+            out[s:up] += tmp[: up - s]
+            lo = max(s, 1)  # rows lo..e-1 have a previous neighbour
+            np.multiply(o[lo - 1 : e - 1], v[lo - 1 : e - 1], out=tmp[: e - lo])
+            out[lo:e] += tmp[: e - lo]
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -108,10 +131,11 @@ def fd_hamiltonian(grid: Grid, a: float) -> TridiagOperator:
     return TridiagOperator(diag=diag, offdiag=offdiag)
 
 
-def fd_gradient(v: np.ndarray) -> np.ndarray:
+def fd_gradient(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """D v: differences over the n_points + 1 cells, with the Dirichlet
-    zeros at both ends; the 3-point FD -Laplacian is D^T D / dx^2."""
-    d = np.empty((v.shape[0] + 1, *v.shape[1:]))
+    zeros at both ends; the 3-point FD -Laplacian is D^T D / dx^2. The
+    result, shape (n_points + 1, ...), goes into `out` when given."""
+    d = np.empty((v.shape[0] + 1, *v.shape[1:])) if out is None else out
     d[0] = v[0]
     np.subtract(v[1:], v[:-1], out=d[1:-1])
     d[-1] = -v[-1]

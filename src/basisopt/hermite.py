@@ -10,7 +10,9 @@ import numpy as np
 from .grid import Grid
 
 
-def hermite_functions(x: np.ndarray, n_funcs: int) -> np.ndarray:
+def hermite_functions(
+    x: np.ndarray, n_funcs: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluate the first n_funcs orthonormal Hermite functions at x.
 
     Uses the normalized three-term recurrence
@@ -19,20 +21,26 @@ def hermite_functions(x: np.ndarray, n_funcs: int) -> np.ndarray:
         h_{n+1}(x) = sqrt(2/(n+1)) x h_n(x) - sqrt(n/(n+1)) h_{n-1}(x),
     which stays normalized (no factorial overflow) for moderate n.
 
-    Returns an array of shape (len(x), n_funcs).
+    The recurrence runs on contiguous rows: returns an array of shape
+    (n_funcs, *x.shape) whose row n is h_n(x), in `out` when given.
     """
     if n_funcs < 1:
         raise ValueError(f"n_funcs must be >= 1, got {n_funcs}")
     x = np.asarray(x, dtype=float)
-    h = np.empty((x.shape[0], n_funcs))
-    h[:, 0] = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
+    h = np.empty((n_funcs, *x.shape)) if out is None else out
+    np.square(x, out=h[0])
+    np.multiply(-0.5, h[0], out=h[0])
+    np.exp(h[0], out=h[0])
+    np.multiply(np.pi ** (-0.25), h[0], out=h[0])
     if n_funcs > 1:
-        h[:, 1] = np.sqrt(2.0) * x * h[:, 0]
+        np.multiply(np.sqrt(2.0), x, out=h[1])
+        np.multiply(h[1], h[0], out=h[1])
+    tmp = np.empty_like(x)
     for n in range(1, n_funcs - 1):
-        h[:, n + 1] = (
-            np.sqrt(2.0 / (n + 1)) * x * h[:, n]
-            - np.sqrt(n / (n + 1.0)) * h[:, n - 1]
-        )
+        np.multiply(np.sqrt(2.0 / (n + 1)), x, out=h[n + 1])
+        np.multiply(h[n + 1], h[n], out=h[n + 1])
+        np.multiply(np.sqrt(n / (n + 1.0)), h[n - 1], out=tmp)
+        np.subtract(h[n + 1], tmp, out=h[n + 1])
     return h
 
 
@@ -77,18 +85,33 @@ class TailOverflowWarning(UserWarning):
     """Basis function tails not representable inside the Dirichlet box."""
 
 
-def hermite_columns(grid: Grid, center: float, n_funcs: int) -> SampledBasis:
-    """Sample the first n_funcs Hermite functions translated to `center`."""
+def _check_center(grid: Grid, center: float):
     if not (-grid.x_max < center < grid.x_max):
         raise ValueError(
             f"center {center} outside the open box (-{grid.x_max}, {grid.x_max})"
         )
-    cols = np.sqrt(grid.dx) * hermite_functions(grid.points - center, n_funcs)
+
+
+def hermite_columns(grid: Grid, center: float, n_funcs: int) -> SampledBasis:
+    """Sample the first n_funcs Hermite functions translated to `center`."""
+    _check_center(grid, center)
+    cols = np.sqrt(grid.dx) * hermite_functions(grid.points - center, n_funcs).T
     return SampledBasis(grid=grid, center=center, columns=cols)
 
 
-def assemble_dimer(grid: Grid, a: float, n_funcs: int) -> DimerBasis:
-    """Assemble B_a = [basis at +a | basis at -a].
+def assemble_dimer(
+    grid: Grid,
+    a: float,
+    n_funcs: int,
+    out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+) -> DimerBasis:
+    """Assemble B_a = [basis at +a | basis at -a], shape (n_points, 2 n_funcs).
+
+    Both centres run through one Hermite recurrence on contiguous rows,
+    shape (n_funcs, 2, n_points), which are scaled and copied once into the
+    column layout of B. A C-contiguous `out` receives B and `rows` holds
+    the recurrence when given; the returned basis then views `out`.
 
     The classical turning point of h_{n-1} is ~sqrt(2n - 1); ten more units
     of Gaussian decay push the tails below double precision. Violations only
@@ -101,8 +124,15 @@ def assemble_dimer(grid: Grid, a: float, n_funcs: int) -> DimerBasis:
             TailOverflowWarning,
             stacklevel=2,
         )
-    plus = hermite_columns(grid, +a, n_funcs)
-    minus = hermite_columns(grid, -a, n_funcs)
-    return DimerBasis(
-        grid=grid, a=float(a), columns=np.hstack([plus.columns, minus.columns])
+    _check_center(grid, a)  # the box is symmetric, so -a fits as well
+    centers = np.array([[a], [-a]], dtype=float)
+    rows = hermite_functions(grid.points - centers, n_funcs, rows)
+    if out is None:
+        out = np.empty((grid.n_points, 2 * n_funcs))
+    # B[:, s * n_funcs + k] = sqrt(dx) h_k(x - centre_s)
+    np.multiply(
+        np.sqrt(grid.dx),
+        rows.transpose(2, 1, 0),
+        out=out.reshape(grid.n_points, 2, n_funcs),
     )
+    return DimerBasis(grid=grid, a=float(a), columns=out.view())

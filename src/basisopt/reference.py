@@ -6,6 +6,11 @@ density-matrix factor (M_A^offline), the compressed Hamiltonian
 (M_E^offline) and the Hermite-block overlaps, for L2 and H1 alike from
 one FD solve. The rank-2 FD density matrix is never materialized; it enters
 only through the 2 x 2N factor G = Phi^T A B_a.
+
+A loop over configurations builds through one FDWorkspace, whose grid-size
+buffers hold B, the Hermite recurrence rows then H B, and D B, so no
+configuration allocates a grid-size array; the records own their memory
+and are the same bit for bit with or without a workspace.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ class Measure:
     def __post_init__(self):
         if len(self.points) != len(self.weights):
             raise ValueError("points and weights must have equal length")
+        # NaN fails every comparison below, so it must be caught here
+        if not np.isfinite([*self.points, *self.weights]).all():
+            raise ValueError("configurations and weights must be finite")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
@@ -112,22 +120,50 @@ def solve_ground_pair(H: TridiagOperator, grid: Grid) -> GroundPair:
     )
 
 
+class FDWorkspace:
+    """Grid-size buffers for FD offline builds on one grid with one n_funcs.
+
+    A loop over configurations makes one and passes it to every solve and
+    build, so no configuration allocates a grid-size array. Records and
+    OfflineConfigData own their memory; a SolvedConfiguration made on a
+    workspace views it.
+    """
+
+    def __init__(self, grid: Grid, n_funcs: int):
+        n, m = grid.n_points, 2 * n_funcs
+        self.basis = np.empty((n, m))  # B
+        # the Hermite recurrence rows until B is assembled, then H B
+        self.scratch = np.empty((n, m))
+        self.grad = np.empty((n + 1, m))  # D B
+
+
 @dataclass(frozen=True)
 class SolvedConfiguration:
-    """FD Hamiltonian, its ground pair and the dimer basis B at one a."""
+    """FD Hamiltonian, its ground pair and the dimer basis B at one a.
+
+    Made on an FDWorkspace, B is the workspace's buffer: it is valid until
+    the next solve on that workspace.
+    """
 
     hamiltonian: TridiagOperator = field(repr=False)
     pair: GroundPair = field(repr=False)
     basis: np.ndarray = field(repr=False)
 
 
-def solve_configuration(grid: Grid, a: float, n_funcs: int) -> SolvedConfiguration:
+def solve_configuration(
+    grid: Grid, a: float, n_funcs: int, workspace: FDWorkspace | None = None
+) -> SolvedConfiguration:
     H = fd_hamiltonian(grid, a)
     try:
         pair = solve_ground_pair(H, grid)
     except NumericalFailure as exc:
         raise NumericalFailure(f"reference solve failed at a={a}: {exc}") from exc
-    return SolvedConfiguration(H, pair, assemble_dimer(grid, a, n_funcs).columns)
+    if workspace is None:
+        basis = assemble_dimer(grid, a, n_funcs)
+    else:
+        rows = workspace.scratch.reshape(n_funcs, 2, grid.n_points)
+        basis = assemble_dimer(grid, a, n_funcs, workspace.basis, rows)
+    return SolvedConfiguration(H, pair, basis.columns)
 
 
 @dataclass(frozen=True)
@@ -188,14 +224,17 @@ def build_offline_single(
     n_funcs: int,
     metric: str | None = "L2",
     fd: SolvedConfiguration | None = None,
+    workspace: FDWorkspace | None = None,
 ) -> OfflineConfigData | OfflineRecord:
     """Offline matrices for one configuration from one FD solve, or from
-    `fd` when the caller has solved it; metric=None gives the record."""
+    `fd` when the caller has solved it; metric=None gives the record.
+    With a workspace, the grid-size intermediates live in its buffers."""
     if fd is None:
-        fd = solve_configuration(grid, a, n_funcs)
+        fd = solve_configuration(grid, a, n_funcs, workspace)
     B = fd.basis
+    HB = fd.hamiltonian.matvec(B, None if workspace is None else workspace.scratch)
+    DB = fd_gradient(B, None if workspace is None else workspace.grad)
     phis = np.column_stack([fd.pair.phi1, fd.pair.phi2])
-    DB = fd_gradient(B)
     inv_dx2 = 1.0 / grid.dx**2
     record = OfflineRecord(
         a=float(a),
@@ -203,7 +242,7 @@ def build_offline_single(
         g=phis.T @ B,
         g_lap=(fd_gradient(phis).T @ DB) * inv_dx2,
         s_b=_symmetrize(B.T @ B),
-        m_e=_symmetrize(B.T @ fd.hamiltonian.matvec(B)),
+        m_e=_symmetrize(B.T @ HB),
         s_lap=_symmetrize(DB.T @ DB) * inv_dx2,
     )
     return record if metric is None else record.offline(metric, float(weight))
@@ -218,9 +257,10 @@ def build_offline(
 ) -> list[OfflineConfigData]:
     """Offline matrices for every support point of the measure, through
     the cache when cache_dir is set."""
+    records = load_or_build_each(grid, measure.points, n_funcs, cache_dir)
     return [
-        load_or_build(grid, a, n_funcs, cache_dir)[0].offline(metric, float(w))
-        for a, w in zip(measure.points, measure.weights)
+        record.offline(metric, float(w))
+        for (record, _), w in zip(records, measure.weights)
     ]
 
 
@@ -296,10 +336,12 @@ def load_or_build(
     n_funcs: int,
     cache_dir: str | None = None,
     fd: SolvedConfiguration | None = None,
+    workspace: FDWorkspace | None = None,
 ) -> tuple[OfflineRecord, str]:
     """The record of one configuration and its status: "cached", "computed"
     (no entry) or "rebuilt" (an unreadable or foreign entry replaced); a miss
-    builds from `fd` when the caller has solved the configuration already."""
+    builds from `fd` when the caller has solved the configuration already,
+    and through `workspace` when given."""
     status = "computed"
     if cache_dir is not None:
         record = load_cached(cache_dir, grid, a, n_funcs)
@@ -307,7 +349,17 @@ def load_or_build(
             return record, "cached"
         if os.path.exists(_cache_path(cache_dir, cache_key(grid, a, n_funcs))):
             status = "rebuilt"
-    record = build_offline_single(grid, a, 1.0, n_funcs, None, fd)
+    record = build_offline_single(grid, a, 1.0, n_funcs, None, fd, workspace)
     if cache_dir is not None:
         save_offline_entry(cache_dir, grid, record)
     return record, status
+
+
+def load_or_build_each(
+    grid: Grid, a_values, n_funcs: int, cache_dir: str | None = None
+):
+    """Yield load_or_build's (record, status) for each a in turn; the
+    misses share one FDWorkspace."""
+    workspace = FDWorkspace(grid, n_funcs)
+    for a in a_values:
+        yield load_or_build(grid, a, n_funcs, cache_dir, workspace=workspace)

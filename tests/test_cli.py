@@ -17,7 +17,7 @@ from basisopt.cli import (
     load_config,
     main,
 )
-from basisopt.criteria import eval_JE
+from basisopt.criteria import eval_JA, eval_JE
 from basisopt.reference import build_offline
 
 SMALL_CONFIG = """\
@@ -104,6 +104,28 @@ class TestConfig:
         path.write_text("[basis]\nn_funcs = 3\nn_basis = 5\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "command, measure",
+        [
+            ("reference", "points = 1.5,nan,3.0"),
+            ("optimize", "points = 1.5,2.0,3.0\nweights = 0.5,nan,0.5"),
+        ],
+        ids=["nan_point", "nan_weight"],
+    )
+    def test_non_finite_measure_is_config_error(
+        self, tmp_path, capsys, command, measure
+    ):
+        path = tmp_path / "nan.ini"
+        path.write_text(
+            SMALL_CONFIG.split("[measure]")[0]
+            + f"[measure]\nkind = explicit\n{measure}\n"
+        )
+        assert run([command], tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error:")
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
 
 
 class TestReference:
@@ -272,6 +294,36 @@ class TestStartupAndSolves:
         assert run(args, tmp_path, str(path)) == 0
         assert len(solves) == 4
         assert snapshot(tmp_path / "cache") == cold
+
+    def test_evaluate_reads_each_entry_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "ten.ini"
+        path.write_text(SMALL_CONFIG.replace("count = 3", "count = 10"))
+        assert run(["reference"], tmp_path, str(path)) == 0
+        reads = []
+        load = reference.load_cached
+        monkeypatch.setattr(
+            reference, "load_cached", lambda *args: reads.append(args) or load(*args)
+        )
+        assert run(["evaluate", "--hbs", "1", "--hbs", "2"], tmp_path, str(path)) == 0
+        assert len(reads) == 10
+        # the table one offline build per metric gives, bit for bit
+        cfg = load_config(str(path))
+        off = {
+            m: build_offline(cfg.grid(), cfg.measure, cfg.n_funcs, m)
+            for m in ("L2", "H1")
+        }
+        expected = ["basis,n_basis,J_L2,J_H1,J_E"]
+        for nb in (1, 2):
+            R = hbs_artifact(cfg, nb)["R"]
+            values = (
+                nb,
+                eval_JA(R, off["L2"]),
+                eval_JA(R, off["H1"]),
+                eval_JE(R, off["L2"]),
+            )
+            expected.append(",".join([f"HBS_Nb{nb}", *map(repr, map(float, values))]))
+        table = (tmp_path / "out" / "criteria_table.csv").read_text().splitlines()
+        assert table == expected
 
     def test_evaluate_after_reference_solves_nothing(
         self, tmp_path, small_config, solves

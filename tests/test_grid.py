@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 from basisopt.grid import (
+    TridiagOperator,
     build_grid,
     fd_gradient,
     fd_hamiltonian,
@@ -140,3 +141,37 @@ class TestH1Metric:
         quad = g.dx * f @ h1_metric(g).matvec(f)
         exact = 1.5 * np.sqrt(np.pi)
         assert quad == pytest.approx(exact, rel=1e-3)
+
+
+def broadcast_matvec(op, v):
+    """TridiagOperator.matvec as three full-size broadcast products: the
+    reference the blocked form must equal bit for bit."""
+    out = op.diag[:, None] * v if v.ndim == 2 else op.diag * v
+    o = op.offdiag[:, None] if v.ndim == 2 else op.offdiag
+    out[:-1] += o * v[1:]
+    out[1:] += o * v[:-1]
+    return out
+
+
+class TestOutArguments:
+    # 5000 x 7 spans three row blocks of matvec; 37 x 3 and 5000 fit in one
+    @pytest.mark.parametrize("shape", [(37,), (37, 3), (5000,), (5000, 7)])
+    @pytest.mark.parametrize("offdiag", ["constant", "varying"])
+    def test_matvec_out_equals_allocating_form(self, rng, shape, offdiag):
+        g = build_grid(6.0, shape[0])
+        H = fd_hamiltonian(g, 1.2)
+        if offdiag == "varying":
+            H = TridiagOperator(H.diag, rng.standard_normal(shape[0] - 1))
+        v = rng.standard_normal(shape)
+        out = np.full(shape, np.nan)
+        assert H.matvec(v, out) is out
+        expected = broadcast_matvec(H, v)
+        np.testing.assert_array_equal(H.matvec(v), expected)
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("shape", [(37,), (37, 3)])
+    def test_fd_gradient_out_equals_allocating_form(self, rng, shape):
+        v = rng.standard_normal(shape)
+        out = np.full((shape[0] + 1, *shape[1:]), np.nan)
+        assert fd_gradient(v, out) is out
+        np.testing.assert_array_equal(out, fd_gradient(v))

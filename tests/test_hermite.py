@@ -25,7 +25,45 @@ def test_recurrence_matches_explicit_polynomials():
     for n in range(11):
         ref = explicit_hermite_function(n, x)
         scale = np.abs(ref).max()
-        np.testing.assert_allclose(h[:, n], ref, atol=1e-10 * scale)
+        np.testing.assert_allclose(h[n], ref, atol=1e-10 * scale)
+
+
+def column_recurrence(x, n_funcs):
+    """The recurrence one strided column at a time: the reference the row
+    form must equal bit for bit."""
+    h = np.empty((x.shape[0], n_funcs))
+    h[:, 0] = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
+    if n_funcs > 1:
+        h[:, 1] = np.sqrt(2.0) * x * h[:, 0]
+    for n in range(1, n_funcs - 1):
+        h[:, n + 1] = (
+            np.sqrt(2.0 / (n + 1)) * x * h[:, n]
+            - np.sqrt(n / (n + 1.0)) * h[:, n - 1]
+        )
+    return h
+
+
+@pytest.mark.parametrize("n_funcs", [1, 2, 10])
+def test_rows_equal_column_recurrence(n_funcs):
+    x = build_grid(20.0, 1999).points - 1.7
+    np.testing.assert_array_equal(
+        hermite_functions(x, n_funcs).T, column_recurrence(x, n_funcs)
+    )
+
+
+@pytest.mark.parametrize("buffers", [False, True], ids=["fresh", "out"])
+def test_dimer_equals_column_recurrence(buffers):
+    g = build_grid(20.0, 1999)
+    expected = np.hstack(
+        [np.sqrt(g.dx) * column_recurrence(g.points - c, 10) for c in (1.7, -1.7)]
+    )
+    out = rows = None
+    if buffers:  # filled with garbage that must be overwritten
+        out, rows = np.full((1999, 20), np.nan), np.full((10, 2, 1999), np.nan)
+    b = assemble_dimer(g, 1.7, 10, out, rows)
+    np.testing.assert_array_equal(b.columns, expected)
+    if buffers:
+        assert np.shares_memory(b.columns, out)
 
 
 def test_ground_state_value_at_center():

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from basisopt.galerkin import hbs_coefficients, reduced_ground_pair
 from basisopt.grid import build_grid, fd_hamiltonian, h1_metric
 from basisopt.hermite import assemble_dimer, hermite_columns
 from basisopt.reference import (
+    FDWorkspace,
     Measure,
     build_offline,
     build_offline_single,
@@ -15,6 +17,7 @@ from basisopt.reference import (
     default_measure,
     load_cached,
     load_or_build,
+    load_or_build_each,
     save_offline_entry,
     solve_ground_pair,
     uniform_measure,
@@ -45,6 +48,20 @@ class TestMeasure:
             Measure(points=(1.0, 2.0), weights=(0.5, -0.5))
         with pytest.raises(ValueError):
             Measure(points=(1.0,), weights=(0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "points, weights",
+        [
+            ((1.5, np.nan, 3.0), (0.5, 0.5, 0.5)),
+            ((1.5, 2.0, 3.0), (0.5, np.nan, 0.5)),
+            ((1.5, 2.0, np.inf), (0.5, 0.5, 0.5)),
+            ((1.5, 2.0, 3.0), (0.5, np.inf, 0.5)),
+        ],
+    )
+    def test_non_finite_rejected(self, points, weights):
+        # NaN passes every ordering check, so finiteness is checked first
+        with pytest.raises(ValueError, match="finite"):
+            Measure(points=points, weights=weights)
 
     def test_single_point(self):
         m = uniform_measure(1.9, 1.9, 1)
@@ -294,3 +311,43 @@ class TestCache:
         assert status == "rebuilt"
         assert record.a == 1.5
         assert load_cached(str(tmp_path), grid_main, 1.5, 5).a == 1.5
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize(
+        "x_max, n_points, n_funcs", [(20.0, 1999, 10), (16.0, 801, 4)]
+    )
+    def test_records_equal_fresh_builds(self, x_max, n_points, n_funcs):
+        # the records are compared after the last build through the
+        # workspace, so a record that aliased its buffers would show
+        g = build_grid(x_max, n_points)
+        a_values = (0.0, 1.5, 2.25, 3.0)
+        records = [r for r, _ in load_or_build_each(g, a_values, n_funcs)]
+        for a, record in zip(a_values, records):
+            fresh = build_offline_single(g, a, 1.0, n_funcs, None)
+            assert record.e_ref == fresh.e_ref
+            for name in RECORD_FIELDS:
+                assert np.array_equal(getattr(record, name), getattr(fresh, name))
+
+    def test_solved_configuration_views_the_workspace(self, grid_main):
+        ws = FDWorkspace(grid_main, 5)
+        fd = reference.solve_configuration(grid_main, 2.0, 5, ws)
+        assert np.shares_memory(fd.basis, ws.basis)
+        assert np.array_equal(fd.basis, assemble_dimer(grid_main, 2.0, 5).columns)
+        record = build_offline_single(grid_main, 2.0, 1.0, 5, None, fd, ws)
+        for name in RECORD_FIELDS:
+            for buffer in (ws.basis, ws.scratch, ws.grad):
+                assert not np.shares_memory(getattr(record, name), buffer)
+
+    def test_warm_build_allocates_less_than_one_basis(self, grid_main):
+        # deterministic allocation budget: the grid-size intermediates of a
+        # build live in the workspace, so what is left stays below one B
+        ws = FDWorkspace(grid_main, 10)
+        build_offline_single(grid_main, 2.0, 1.0, 10, None, workspace=ws)
+        tracemalloc.start()
+        try:
+            build_offline_single(grid_main, 2.5, 1.0, 10, None, workspace=ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ws.basis.nbytes

@@ -13,7 +13,12 @@ import sys
 from basisopt.criteria import CriterionKind, eval_JA, eval_JE, make_criterion
 from basisopt.galerkin import hbs_coefficients
 from basisopt.grid import build_grid
-from basisopt.reference import build_offline, default_measure
+from basisopt.reference import (
+    METRICS,
+    default_measure,
+    load_or_build_each,
+    stack_offline,
+)
 from basisopt.stiefel import minimize
 
 
@@ -28,9 +33,11 @@ def main(argv=None):
 
     grid = build_grid(args.x_max, args.n_points)
     measure = default_measure()
+    # one FD solve or cache read per configuration serves both metrics
+    pairs = load_or_build_each(grid, measure.points, args.n_funcs, args.cache)
+    records = [record for record, _ in pairs]
     offline = {
-        metric: build_offline(grid, measure, args.n_funcs, metric, args.cache)
-        for metric in ("L2", "H1")
+        metric: stack_offline(records, measure.weights, metric) for metric in METRICS
     }
 
     rows = []

@@ -29,6 +29,7 @@ from .galerkin import OvercompletenessError, expand, hbs_coefficients
 from .grid import R_MAX, Grid, build_grid, default_x_max
 from .hermite import assemble_dimer
 from .reference import (
+    METRICS,
     FDWorkspace,
     Measure,
     NumericalFailure,
@@ -38,6 +39,7 @@ from .reference import (
     load_or_build,
     load_or_build_each,
     solve_configuration,
+    stack_offline,
     uniform_measure,
 )
 from .stiefel import OptimSettings, minimize, random_stiefel
@@ -192,6 +194,20 @@ def _artifact_doc(cfg: RunConfig, R, n_basis: int, criterion: str) -> dict:
     }
 
 
+def _write_json(path: str, doc: dict) -> None:
+    """Write doc atomically: a failed write leaves the previous file."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_artifact(path: str, R: np.ndarray, cfg: RunConfig, report) -> None:
     doc = {
         **_artifact_doc(cfg, R.tolist(), cfg.n_basis, cfg.criterion.value),
@@ -200,12 +216,7 @@ def save_artifact(path: str, R: np.ndarray, cfg: RunConfig, report) -> None:
         "converged": report.converged,
         "grad_norm": report.grad_norm,
     }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_json(path, doc)
 
 
 def load_artifact(path: str) -> dict:
@@ -281,20 +292,16 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     name = f"{cfg.criterion.value}_Nb{cfg.n_basis}"
     artifact_path = os.path.join(cfg.out_dir, f"basis_{name}.json")
     save_artifact(artifact_path, report.R_opt, cfg, report)
-    report_path = os.path.join(cfg.out_dir, f"optim_{name}.json")
-    with open(report_path, "w") as fh:
-        json.dump(
-            {
-                "iterations": report.iterations,
-                "converged": report.converged,
-                "stalled": report.stalled,
-                "grad_norm": report.grad_norm,
-                "trajectory": report.trajectory.tolist(),
-            },
-            fh,
-            indent=1,
-        )
-        fh.write("\n")
+    _write_json(
+        os.path.join(cfg.out_dir, f"optim_{name}.json"),
+        {
+            "iterations": report.iterations,
+            "converged": report.converged,
+            "stalled": report.stalled,
+            "grad_norm": report.grad_norm,
+            "trajectory": report.trajectory.tolist(),
+        },
+    )
     print(
         f"{name}: value={report.final_value!r} iterations={report.iterations} "
         f"converged={report.converged} -> {artifact_path}"
@@ -329,15 +336,9 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     docs = _gather_artifacts(cfg, args)
     grid = cfg.grid()
     m = cfg.measure
-    records = [
-        record
-        for record, _ in load_or_build_each(grid, m.points, cfg.n_funcs, cfg.cache_dir)
-    ]
-    # one read per entry serves both metrics
-    off = {
-        metric: [r.offline(metric, float(w)) for r, w in zip(records, m.weights)]
-        for metric in ("L2", "H1")
-    }
+    pairs = load_or_build_each(grid, m.points, cfg.n_funcs, cfg.cache_dir)
+    records = [record for record, _ in pairs]  # one read serves both metrics
+    off = {metric: stack_offline(records, m.weights, metric) for metric in METRICS}
     rows = []
     for doc in docs:
         R = doc["R"]
@@ -397,7 +398,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
             ["a", "l1", "h1", "vw"],
             [(e.a, e.l1, e.h1, e.vw) for e in error],
         )
-        _write_basis_functions(cfg, grid, doc, label)
+    _write_basis_functions(cfg, grid, docs)
     sweep_a = np.geomspace(0.1, CURVE_A_MAX, 40)
     for nb in sorted({doc["n_basis"] for doc in docs}):
         sweep = overlap_condition_sweep(nb, sweep_a)
@@ -410,17 +411,19 @@ def cmd_report(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _write_basis_functions(cfg: RunConfig, grid: Grid, doc: dict, label: str):
-    a = cfg.measure.points[0]
-    basis = assemble_dimer(grid, a, cfg.n_funcs)
-    # scale back to true function values (undo the sqrt(dx) convention)
-    columns = basis.columns @ expand(doc["R"]) / np.sqrt(grid.dx)
-    header = ["x"] + [f"chi_{i}" for i in range(columns.shape[1])]
-    write_csv(
-        os.path.join(cfg.out_dir, f"basis_functions_{label}.csv"),
-        header,
-        [(x, *row) for x, row in zip(grid.points, columns)],
-    )
+def _write_basis_functions(cfg: RunConfig, grid: Grid, docs: list[dict]):
+    """Every artifact's basis functions at the first measure point, from one
+    dimer basis, which is freed before the report goes on."""
+    basis = assemble_dimer(grid, cfg.measure.points[0], cfg.n_funcs)
+    for doc in docs:
+        # scale back to true function values (undo the sqrt(dx) convention)
+        columns = basis @ expand(doc["R"]) / np.sqrt(grid.dx)
+        header = ["x"] + [f"chi_{i}" for i in range(columns.shape[1])]
+        write_csv(
+            os.path.join(cfg.out_dir, f"basis_functions_{_artifact_label(doc)}.csv"),
+            header,
+            [(x, *row) for x, row in zip(grid.points, columns)],
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

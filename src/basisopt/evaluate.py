@@ -110,7 +110,7 @@ def density_error(
     if fd is None:
         fd = solve_configuration(grid, a, n_funcs)
     if record is None:
-        record = build_offline_single(grid, a, 1.0, n_funcs, None, fd)
+        record = build_offline_single(grid, a, n_funcs, fd)
     rho_ref = (fd.pair.phi1**2 + fd.pair.phi2**2) / grid.dx
     pair = reduced_ground_pair(record.m_e, record.s_b, R, a=a)
     rho = lcao_density(fd.basis, R, pair.C, grid)

@@ -55,18 +55,18 @@ def reduced_overlap(s_block: np.ndarray, R: np.ndarray) -> np.ndarray:
     return _sym(I_R.T @ s_block @ I_R)
 
 
-def inv_sqrt_spd(S: np.ndarray, cond_limit: float = DEFAULT_COND_LIMIT, a=None):
+def inv_sqrt_spd(S: np.ndarray, a=None):
     """Symmetric (Lowdin) inverse square root of an SPD matrix or a stack.
 
     Returns (S^{-1/2}, condition number); for a (K, n, n) stack both carry
     the leading axis, and `a` holds one configuration per matrix. Raises
     OvercompletenessError for the first matrix whose spectrum is
-    non-positive or whose condition number exceeds cond_limit.
+    non-positive or whose condition number exceeds DEFAULT_COND_LIMIT.
     """
     vals, vecs = np.linalg.eigh(_sym(S))
     smin, smax = vals[..., 0], vals[..., -1]
     cond = np.divide(smax, smin, out=np.full_like(smin, np.inf), where=smin > 0)
-    bad = np.flatnonzero((smin <= 0) | (cond > cond_limit))
+    bad = np.flatnonzero((smin <= 0) | (cond > DEFAULT_COND_LIMIT))
     if bad.size:
         n = bad[0]
         a_n = None if a is None else float(np.ravel(a)[n])
@@ -103,7 +103,6 @@ def reduced_ground_pair(
     m_e_offline: np.ndarray,
     s_block: np.ndarray,
     R: np.ndarray,
-    cond_limit: float = DEFAULT_COND_LIMIT,
     a=None,
 ) -> ReducedGroundPair:
     """Solve the reduced problem by Lowdin symmetric orthogonalization.
@@ -113,7 +112,7 @@ def reduced_ground_pair(
     """
     S_red = reduced_overlap(s_block, R)
     H_red = reduced_overlap(m_e_offline, R)
-    S_inv_sqrt, cond = inv_sqrt_spd(S_red, cond_limit, a=a)
+    S_inv_sqrt, cond = inv_sqrt_spd(S_red, a=a)
     vals, vecs = np.linalg.eigh(_sym(S_inv_sqrt @ H_red @ S_inv_sqrt))
     mu3 = vals[..., 2] if vals.shape[-1] > 2 else np.inf
     return ReducedGroundPair(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,43 +43,6 @@ def hermite_functions(
     return h
 
 
-@dataclass(frozen=True)
-class SampledBasis:
-    """Hermite functions sampled on the grid, columns scaled by sqrt(dx).
-
-    With that scaling the discrete L2 inner products are plain matrix
-    products, and column norms are ~1 (trapezoidal quadrature of the exact
-    normalization).
-    """
-
-    grid: Grid
-    center: float
-    columns: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.columns.setflags(write=False)
-
-    @property
-    def n_funcs(self) -> int:
-        return self.columns.shape[1]
-
-
-@dataclass(frozen=True)
-class DimerBasis:
-    """[h_n(. - a) | h_n(. + a)] block matrix, sqrt(dx)-scaled columns."""
-
-    grid: Grid
-    a: float
-    columns: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.columns.setflags(write=False)
-
-    @property
-    def n_funcs(self) -> int:
-        return self.columns.shape[1] // 2
-
-
 class TailOverflowWarning(UserWarning):
     """Basis function tails not representable inside the Dirichlet box."""
 
@@ -92,11 +54,22 @@ def _check_center(grid: Grid, center: float):
         )
 
 
-def hermite_columns(grid: Grid, center: float, n_funcs: int) -> SampledBasis:
-    """Sample the first n_funcs Hermite functions translated to `center`."""
+def _read_only(columns: np.ndarray) -> np.ndarray:
+    columns.setflags(write=False)
+    return columns
+
+
+def hermite_columns(grid: Grid, center: float, n_funcs: int) -> np.ndarray:
+    """The first n_funcs Hermite functions translated to `center`, sampled
+    on the grid as read-only columns scaled by sqrt(dx).
+
+    With that scaling the discrete L2 inner products are plain matrix
+    products, and column norms are ~1 (trapezoidal quadrature of the exact
+    normalization).
+    """
     _check_center(grid, center)
     cols = np.sqrt(grid.dx) * hermite_functions(grid.points - center, n_funcs).T
-    return SampledBasis(grid=grid, center=center, columns=cols)
+    return _read_only(cols)
 
 
 def assemble_dimer(
@@ -105,13 +78,14 @@ def assemble_dimer(
     n_funcs: int,
     out: np.ndarray | None = None,
     rows: np.ndarray | None = None,
-) -> DimerBasis:
-    """Assemble B_a = [basis at +a | basis at -a], shape (n_points, 2 n_funcs).
+) -> np.ndarray:
+    """Assemble B_a = [basis at +a | basis at -a], shape (n_points, 2 n_funcs),
+    as read-only sqrt(dx)-scaled columns.
 
     Both centres run through one Hermite recurrence on contiguous rows,
     shape (n_funcs, 2, n_points), which are scaled and copied once into the
     column layout of B. A C-contiguous `out` receives B and `rows` holds
-    the recurrence when given; the returned basis then views `out`.
+    the recurrence when given; the returned array then views `out`.
 
     The classical turning point of h_{n-1} is ~sqrt(2n - 1); ten more units
     of Gaussian decay push the tails below double precision. Violations only
@@ -135,4 +109,4 @@ def assemble_dimer(
         rows.transpose(2, 1, 0),
         out=out.reshape(grid.n_points, 2, n_funcs),
     )
-    return DimerBasis(grid=grid, a=float(a), columns=out.view())
+    return _read_only(out.view())

@@ -1,11 +1,16 @@
 """FD reference ground pairs, sampling measure and offline matrices.
 
 All per-configuration quantities that do not depend on the coefficient
-matrix R are precomputed here: the reference energy, the compressed
-density-matrix factor (M_A^offline), the compressed Hamiltonian
-(M_E^offline) and the Hermite-block overlaps, for L2 and H1 alike from
-one FD solve. The rank-2 FD density matrix is never materialized; it enters
-only through the 2 x 2N factor G = Phi^T A B_a.
+matrix R are precomputed here, for L2 and H1 alike from one FD solve: the
+reference energy, the projections of the FD pair on the dimer basis and
+the basis overlaps. The rank-2 FD density matrix is never materialized; it
+enters only through the 2 x 2N factor G = Phi^T A B_a.
+
+Offline data takes two forms. An OfflineRecord is what the cache stores
+for one configuration, metric-free. An OfflineStack is what the criteria
+read: the (K, 2N, 2N) matrices of one metric for the K configurations of a
+measure, with their a, weight and e_ref vectors. stack_offline is the one
+place that maps a metric to the matrices.
 
 A loop over configurations builds through one FDWorkspace, whose grid-size
 buffers hold B, the Hermite recurrence rows then H B, and D B, so no
@@ -20,6 +25,7 @@ import json
 import os
 import tempfile
 import zipfile
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,9 +130,8 @@ class FDWorkspace:
     """Grid-size buffers for FD offline builds on one grid with one n_funcs.
 
     A loop over configurations makes one and passes it to every solve and
-    build, so no configuration allocates a grid-size array. Records and
-    OfflineConfigData own their memory; a SolvedConfiguration made on a
-    workspace views it.
+    build, so no configuration allocates a grid-size array. Records own
+    their memory; a SolvedConfiguration made on a workspace views it.
     """
 
     def __init__(self, grid: Grid, n_funcs: int):
@@ -163,24 +168,7 @@ def solve_configuration(
     else:
         rows = workspace.scratch.reshape(n_funcs, 2, grid.n_points)
         basis = assemble_dimer(grid, a, n_funcs, workspace.basis, rows)
-    return SolvedConfiguration(H, pair, basis.columns)
-
-
-@dataclass(frozen=True)
-class OfflineConfigData:
-    """R-independent compressed matrices for one configuration."""
-
-    a: float
-    weight: float
-    e_ref: float
-    m_a_offline: np.ndarray = field(repr=False)  # (A B)^T P_FD (A B), 2N x 2N
-    s_a_b: np.ndarray = field(repr=False)  # B^T A B
-    m_e_offline: np.ndarray = field(repr=False)  # B^T H_FD B
-    s_b: np.ndarray = field(repr=False)  # B^T B
-
-    @property
-    def n_funcs(self) -> int:
-        return self.s_b.shape[0] // 2
+    return SolvedConfiguration(H, pair, basis)
 
 
 @dataclass(frozen=True)
@@ -197,38 +185,67 @@ class OfflineRecord:
     m_e: np.ndarray = field(repr=False)  # B^T H_FD B
     s_lap: np.ndarray = field(repr=False)  # B^T (-Laplacian) B
 
-    def offline(self, metric: str, weight: float) -> OfflineConfigData:
-        if metric == "L2":
-            g, s_a_b = self.g, self.s_b
-        elif metric == "H1":
-            g, s_a_b = self.g + self.g_lap, self.s_b + self.s_lap
-        else:
-            raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-        m_a = _symmetrize(g.T @ g)
-        return OfflineConfigData(
-            self.a, weight, self.e_ref, m_a, s_a_b, self.m_e, self.s_b
-        )
-
 
 _RECORD_ARRAYS = ("g", "g_lap", "s_b", "m_e", "s_lap")
+
+
+@dataclass(frozen=True)
+class OfflineStack:
+    """The offline data of K configurations for one metric A, in measure
+    order: (K,) vectors and (K, 2N, 2N) matrix stacks."""
+
+    a: np.ndarray
+    weight: np.ndarray
+    e_ref: np.ndarray
+    m_a: np.ndarray = field(repr=False)  # (A B)^T P_FD (A B) = G^T G
+    s_a: np.ndarray = field(repr=False)  # B^T A B
+    m_e: np.ndarray = field(repr=False)  # B^T H_FD B
+    s_b: np.ndarray = field(repr=False)  # B^T B
+
+    def __len__(self) -> int:
+        return len(self.a)
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def stack_offline(
+    records: Sequence[OfflineRecord], weights: Sequence[float], metric: str
+) -> OfflineStack:
+    """Stack the records of a measure's configurations for one metric."""
+    s_b = np.stack([r.s_b for r in records])
+    if metric == "L2":
+        gs, s_a = [r.g for r in records], s_b
+    elif metric == "H1":
+        gs = [r.g + r.g_lap for r in records]
+        s_a = np.stack([r.s_b + r.s_lap for r in records])
+    else:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    weight, a, e_ref = np.array(
+        [(float(w), r.a, r.e_ref) for r, w in zip(records, weights)]
+    ).T
+    return OfflineStack(
+        a=a,
+        weight=weight,
+        e_ref=e_ref,
+        m_a=np.stack([_symmetrize(g.T @ g) for g in gs]),
+        s_a=s_a,
+        m_e=np.stack([r.m_e for r in records]),
+        s_b=s_b,
+    )
+
+
 def build_offline_single(
     grid: Grid,
     a: float,
-    weight: float,
     n_funcs: int,
-    metric: str | None = "L2",
     fd: SolvedConfiguration | None = None,
     workspace: FDWorkspace | None = None,
-) -> OfflineConfigData | OfflineRecord:
-    """Offline matrices for one configuration from one FD solve, or from
-    `fd` when the caller has solved it; metric=None gives the record.
-    With a workspace, the grid-size intermediates live in its buffers."""
+) -> OfflineRecord:
+    """The offline record of one configuration from one FD solve, or from
+    `fd` when the caller has solved it. With a workspace, the grid-size
+    intermediates live in its buffers."""
     if fd is None:
         fd = solve_configuration(grid, a, n_funcs, workspace)
     B = fd.basis
@@ -236,7 +253,7 @@ def build_offline_single(
     DB = fd_gradient(B, None if workspace is None else workspace.grad)
     phis = np.column_stack([fd.pair.phi1, fd.pair.phi2])
     inv_dx2 = 1.0 / grid.dx**2
-    record = OfflineRecord(
+    return OfflineRecord(
         a=float(a),
         e_ref=fd.pair.energy,
         g=phis.T @ B,
@@ -245,7 +262,6 @@ def build_offline_single(
         m_e=_symmetrize(B.T @ HB),
         s_lap=_symmetrize(DB.T @ DB) * inv_dx2,
     )
-    return record if metric is None else record.offline(metric, float(weight))
 
 
 def build_offline(
@@ -254,14 +270,11 @@ def build_offline(
     n_funcs: int,
     metric: str = "L2",
     cache_dir: str | None = None,
-) -> list[OfflineConfigData]:
-    """Offline matrices for every support point of the measure, through
-    the cache when cache_dir is set."""
+) -> OfflineStack:
+    """The offline stack of the measure's configurations for one metric,
+    through the cache when cache_dir is set."""
     records = load_or_build_each(grid, measure.points, n_funcs, cache_dir)
-    return [
-        record.offline(metric, float(w))
-        for (record, _), w in zip(records, measure.weights)
-    ]
+    return stack_offline([r for r, _ in records], measure.weights, metric)
 
 
 # -- offline cache -----------------------------------------------------------
@@ -349,7 +362,7 @@ def load_or_build(
             return record, "cached"
         if os.path.exists(_cache_path(cache_dir, cache_key(grid, a, n_funcs))):
             status = "rebuilt"
-    record = build_offline_single(grid, a, 1.0, n_funcs, None, fd, workspace)
+    record = build_offline_single(grid, a, n_funcs, fd, workspace)
     if cache_dir is not None:
         save_offline_entry(cache_dir, grid, record)
     return record, status

@@ -14,6 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# backtracking Armijo line search: sufficient-decrease constant, first
+# trial step and the number of halvings before the search gives up
+ARMIJO_C1 = 1e-4
+INITIAL_STEP = 1.0
+MAX_LINE_SEARCH = 40
+
+
 class RetractionError(RuntimeError):
     """R + T rank deficient; no QR retraction exists."""
 
@@ -23,9 +30,6 @@ class OptimSettings:
     grad_tol: float = 1e-7
     max_iter: int = 500
     lbfgs_memory: int = 10
-    armijo_c1: float = 1e-4
-    initial_step: float = 1.0
-    max_line_search: int = 40
 
     def __post_init__(self):
         if self.grad_tol <= 0:
@@ -96,17 +100,17 @@ def minimize(
             direction = -g  # not a descent direction; restart from steepest
             history.clear()
 
-        step = settings.initial_step
+        step = INITIAL_STEP
         slope = float(np.sum(direction * g))
         R_new = f_new = None
-        for _ in range(settings.max_line_search):
+        for _ in range(MAX_LINE_SEARCH):
             try:
                 candidate = retract(R, step * direction)
             except RetractionError:
                 step *= 0.5
                 continue
             f_cand, G_cand = value_and_grad(candidate)
-            if f_cand <= f + settings.armijo_c1 * step * slope:
+            if f_cand <= f + ARMIJO_C1 * step * slope:
                 R_new, f_new = candidate, f_cand
                 break
             step *= 0.5

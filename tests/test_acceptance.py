@@ -29,6 +29,7 @@ from basisopt.reference import (
     build_offline_single,
     default_measure,
     solve_ground_pair,
+    stack_offline,
     uniform_measure,
 )
 from basisopt.stiefel import minimize, random_stiefel
@@ -143,15 +144,15 @@ def test_criterion_5_oracle_equivalence(grid_main):
     A = h1_metric(g).to_dense()
     worst = 0.0
     for a in (1.5, 2.2, 3.0, 4.1, 5.0):
-        data = build_offline_single(g, a, 1.0, 6, "H1")
-        B = assemble_dimer(g, a, 6).columns
+        data = stack_offline([build_offline_single(g, a, 6)], [1.0], "H1")
+        B = assemble_dimer(g, a, 6)
         pair = solve_ground_pair(fd_hamiltonian(g, a), g)
         P = np.outer(pair.phi1, pair.phi1) + np.outer(pair.phi2, pair.phi2)
         R = random_stiefel(rng, 6, 2)
         X = B @ expand(R)
         Pi = X @ np.linalg.solve(X.T @ A @ X, X.T @ A)
         direct = -np.trace(P @ Pi.T @ A @ Pi)
-        compressed = eval_JA(R, [data])
+        compressed = eval_JA(R, data)
         worst = max(worst, abs(compressed - direct) / abs(direct))
     report("5 compressed vs dense projector", worst < 1e-9, f"worst={worst:.2e}")
 
@@ -163,12 +164,12 @@ def test_criterion_5_oracle_equivalence(grid_main):
         basis = assemble_dimer(grid_main, a, 10)
         H = fd_hamiltonian(grid_main, a)
         R = random_stiefel(rng, 10, 3)
-        X = basis.columns @ expand(R)
+        X = basis @ expand(R)
         dense_vals = scipy.linalg.eigh(
             X.T @ H.matvec(X), X.T @ X, eigvals_only=True
         )
-        data = build_offline_single(grid_main, a, 1.0, 10, "L2")
-        pair = reduced_ground_pair(data.m_e_offline, data.s_b, R)
+        record = build_offline_single(grid_main, a, 10)
+        pair = reduced_ground_pair(record.m_e, record.s_b, R)
         worst = max(
             worst,
             abs(pair.mu1 - dense_vals[0]),
@@ -199,13 +200,13 @@ def test_criterion_6_physics_limits(grid_main):
     worst_integral = 0.0
     variational_ok = True
     for a in default_curve_points(10):
-        data = build_offline_single(grid_main, a, 1.0, 10, "L2")
+        record = build_offline_single(grid_main, a, 10)
         R = hbs_coefficients(10, 3)
-        pair = reduced_ground_pair(data.m_e_offline, data.s_b, R)
+        pair = reduced_ground_pair(record.m_e, record.s_b, R)
         basis = assemble_dimer(grid_main, a, 10)
-        rho = lcao_density(basis.columns, R, pair.C, grid_main)
+        rho = lcao_density(basis, R, pair.C, grid_main)
         worst_integral = max(worst_integral, abs(grid_main.dx * rho.sum() - 2.0))
-        variational_ok = variational_ok and pair.energy >= data.e_ref - 1e-10
+        variational_ok = variational_ok and pair.energy >= record.e_ref - 1e-10
     report(
         "6 density integral = 2", worst_integral < 1e-8, f"worst={worst_integral:.2e}"
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import basisopt
-from basisopt import reference
+from basisopt import cli, reference
 from basisopt.cli import (
     ConfigError,
     RunConfig,
@@ -197,6 +197,26 @@ class TestOptimize:
             )
         assert values[0] == values[1]
 
+    def test_failed_report_write_keeps_previous_file(
+        self, tmp_path, small_config, monkeypatch, capsys
+    ):
+        assert run(["optimize"], tmp_path, small_config) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        dump = json.dump
+
+        def dump_fails_on_report(doc, fh, **kwargs):
+            if "trajectory" not in doc:
+                return dump(doc, fh, **kwargs)
+            fh.write('{"iterations": ')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_fails_on_report)
+        assert run(["optimize"], tmp_path, small_config) == 2
+        assert "I/O error" in capsys.readouterr().err
+        # the report file is intact and no temporary file is left behind
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_strict_nonconvergence_exit_code(self, tmp_path):
         path = tmp_path / "short.ini"
         path.write_text(SMALL_CONFIG.replace("max_iter = 200", "max_iter = 1"))
@@ -294,6 +314,24 @@ class TestStartupAndSolves:
         assert run(args, tmp_path, str(path)) == 0
         assert len(solves) == 4
         assert snapshot(tmp_path / "cache") == cold
+
+    def test_report_one_dimer_basis_for_all_artifacts(self, tmp_path, monkeypatch):
+        # one basis per curve point, and one for every basis-function file
+        calls = []
+        assemble = cli.assemble_dimer
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "assemble_dimer", counted)
+        monkeypatch.setattr(reference, "assemble_dimer", counted)
+        path = tmp_path / "rep.ini"
+        path.write_text(SMALL_CONFIG + "\n[report]\ncurve_points = 4\n")
+        assert run(["report", "--hbs", "1", "--hbs", "2"], tmp_path, str(path)) == 0
+        assert len(calls) == 4 + 1
+        out = tmp_path / "out"
+        assert len(list(out.glob("basis_functions_*.csv"))) == 2
 
     def test_evaluate_reads_each_entry_once(self, tmp_path, monkeypatch):
         path = tmp_path / "ten.ini"

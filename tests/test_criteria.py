@@ -22,8 +22,29 @@ from basisopt.galerkin import (
 )
 from basisopt.grid import build_grid, fd_hamiltonian
 from basisopt.hermite import hermite_columns
-from basisopt.reference import OfflineConfigData, solve_ground_pair
+from basisopt.reference import (
+    OfflineStack,
+    build_offline_single,
+    solve_ground_pair,
+    stack_offline,
+)
 from basisopt.stiefel import random_stiefel, tangent_project
+
+
+def config(offline: OfflineStack, k: int) -> OfflineStack:
+    """Configuration k of a stack, as a stack of one."""
+    names = [f.name for f in dataclasses.fields(offline)]
+    return OfflineStack(**{name: getattr(offline, name)[k : k + 1] for name in names})
+
+
+def single_stack(a, weight, e_ref, m_a, s_a, m_e, s_b) -> OfflineStack:
+    """A stack of one configuration from its 2N x 2N matrices."""
+    return OfflineStack(
+        np.array([a]),
+        np.array([weight]),
+        np.array([e_ref]),
+        *(m[None] for m in (m_a, s_a, m_e, s_b)),
+    )
 
 
 def finite_difference_gradient(f, R, step=1e-5):
@@ -54,34 +75,34 @@ class TestEvalJA:
 
     def test_finite_and_bounded(self, offline_l2, rng):
         # per unit weight the projected trace cannot exceed 2
-        total_weight = sum(d.weight for d in offline_l2)
+        total_weight = offline_l2.weight.sum()
         value = eval_JA(random_stiefel(rng, 10, 2), offline_l2)
         assert -2.0 * total_weight <= value < 0.0
 
     def test_exact_pair_capture_is_optimal(self, grid_main, rng):
         # augmented basis whose first columns are the FD pair: capture = 2
         pair = solve_ground_pair(fd_hamiltonian(grid_main, 2.0), grid_main)
-        pad = hermite_columns(grid_main, 2.0, 2).columns
+        pad = hermite_columns(grid_main, 2.0, 2)
         block_plus = np.column_stack([pair.phi1, pad])
         block_minus = np.column_stack([pair.phi2, pad])
         B = np.hstack([block_plus, block_minus])
         phis = np.column_stack([pair.phi1, pair.phi2])
         G = phis.T @ B
-        data = OfflineConfigData(
+        data = single_stack(
             a=2.0,
             weight=1.0,
             e_ref=pair.energy,
-            m_a_offline=G.T @ G,
-            s_a_b=B.T @ B,
-            m_e_offline=B.T @ fd_hamiltonian(grid_main, 2.0).matvec(B),
+            m_a=G.T @ G,
+            s_a=B.T @ B,
+            m_e=B.T @ fd_hamiltonian(grid_main, 2.0).matvec(B),
             s_b=B.T @ B,
         )
         R_exact = np.zeros((3, 1))
         R_exact[0, 0] = 1.0
-        best = eval_JA(R_exact, [data])
+        best = eval_JA(R_exact, data)
         assert best == pytest.approx(-2.0, abs=1e-8)
         for _ in range(5):
-            assert best <= eval_JA(random_stiefel(rng, 3, 1), [data]) + 1e-10
+            assert best <= eval_JA(random_stiefel(rng, 3, 1), data) + 1e-10
 
 
 class TestEvalJE:
@@ -128,9 +149,7 @@ class TestGradients:
         # N_b = N: the span is the whole space, the criterion is constant
         # on the fiber, so the Riemannian gradient vanishes; a well-separated
         # dimer keeps the full overlap invertible
-        from basisopt.reference import build_offline_single
-
-        data = [build_offline_single(grid_main, 3.5, 1.0, 6, "L2")]
+        data = stack_offline([build_offline_single(grid_main, 3.5, 6)], [1.0], "L2")
         R = np.eye(6)
         for grad in (grad_JA, grad_JE):
             T = tangent_project(R, grad(R, data))
@@ -140,27 +159,29 @@ class TestGradients:
         from basisopt.galerkin import reduced_ground_pair
 
         R = hbs_coefficients(10, 2)
-        fitted = [
-            dataclasses.replace(
-                d,
-                e_ref=reduced_ground_pair(d.m_e_offline, d.s_b, R).energy,
-            )
-            for d in offline_l2
-        ]
+        fitted = dataclasses.replace(
+            offline_l2,
+            e_ref=np.array(
+                [
+                    reduced_ground_pair(m_e, s_b, R).energy
+                    for m_e, s_b in zip(offline_l2.m_e, offline_l2.s_b)
+                ]
+            ),
+        )
         assert np.linalg.norm(grad_JE(R, fitted)) < 1e-12
 
     def test_degenerate_gap_warns(self):
-        data = OfflineConfigData(
+        data = single_stack(
             a=1.0,
             weight=1.0,
             e_ref=1.0,
-            m_a_offline=np.eye(4),
-            s_a_b=np.eye(4),
-            m_e_offline=np.eye(4),
+            m_a=np.eye(4),
+            s_a=np.eye(4),
+            m_e=np.eye(4),
             s_b=np.eye(4),
         )
         with pytest.warns(DegenerateGapWarning):
-            grad_JE(hbs_coefficients(2, 2), [data])
+            grad_JE(hbs_coefficients(2, 2), data)
 
 
 class TestSpanInvariance:
@@ -216,17 +237,17 @@ class TestSpanProperties:
             assert np.linalg.norm(R.T @ G) <= 1e-8 * np.linalg.norm(G), name
 
 
-def _dense_single_value(kind, R, data):
-    """One configuration's weighted term from the dense I_R^T S I_R."""
+def _dense_single_value(kind, R, offline, k):
+    """Configuration k's weighted term from the dense I_R^T S I_R."""
     I_R = expand(R)
     if kind is CriterionKind.JE:
-        H = I_R.T @ data.m_e_offline @ I_R
-        S = I_R.T @ data.s_b @ I_R
+        H = I_R.T @ offline.m_e[k] @ I_R
+        S = I_R.T @ offline.s_b[k] @ I_R
         mu = scipy.linalg.eigh(H, S, eigvals_only=True)
-        return data.weight * (data.e_ref - mu[0] - mu[1]) ** 2
-    M = I_R.T @ data.m_a_offline @ I_R
-    S = I_R.T @ data.s_a_b @ I_R
-    return -data.weight * np.trace(np.linalg.solve(S, M))
+        return offline.weight[k] * (offline.e_ref[k] - mu[0] - mu[1]) ** 2
+    M = I_R.T @ offline.m_a[k] @ I_R
+    S = I_R.T @ offline.s_a[k] @ I_R
+    return -offline.weight[k] * np.trace(np.linalg.solve(S, M))
 
 
 class TestBatchedKernel:
@@ -238,9 +259,11 @@ class TestBatchedKernel:
         R = random_stiefel(rng, 10, 3)
         vg = make_criterion(kind, offline)
         value, grad = vg(R)
-        singles = [make_criterion(kind, [d])(R) for d in offline]
-        for (single, _), data in zip(singles, offline):
-            dense = _dense_single_value(kind, R, data)
+        singles = [
+            make_criterion(kind, config(offline, k))(R) for k in range(len(offline))
+        ]
+        for k, (single, _) in enumerate(singles):
+            dense = _dense_single_value(kind, R, offline, k)
             assert single == pytest.approx(dense, rel=1e-10, abs=1e-14)
         assert value == pytest.approx(sum(v for v, _ in singles), rel=1e-13)
         np.testing.assert_allclose(
@@ -251,28 +274,30 @@ class TestBatchedKernel:
     def test_ill_conditioned_config_mid_stack_is_named(
         self, kind, offline_l2, offline_h1
     ):
-        offline = list(offline_h1 if kind is CriterionKind.JA_H1 else offline_l2)
+        offline = offline_h1 if kind is CriterionKind.JA_H1 else offline_l2
         # nearly coincident centers: the two blocks span almost the same
         # functions, so the overlap has condition number ~1e13
-        bad = offline[4]
-        n = bad.n_funcs
+        n = offline.s_b.shape[1] // 2
         coupling = np.array([[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]])
-        overlap = np.kron(coupling, bad.s_b[:n, :n])
-        offline[4] = dataclasses.replace(bad, s_a_b=overlap, s_b=overlap)
+        overlap = np.kron(coupling, offline.s_b[4, :n, :n])
+        s_a, s_b = offline.s_a.copy(), offline.s_b.copy()
+        s_a[4] = s_b[4] = overlap
+        offline = dataclasses.replace(offline, s_a=s_a, s_b=s_b)
+        a_bad = float(offline.a[4])
         with pytest.raises(OvercompletenessError) as exc_info:
             make_criterion(kind, offline)(hbs_coefficients(10, 2))
-        assert exc_info.value.a == bad.a
+        assert exc_info.value.a == a_bad
         assert exc_info.value.cond > 1e12
-        assert f"a={bad.a}" in str(exc_info.value)
+        assert f"a={a_bad}" in str(exc_info.value)
 
 
 def test_block_compression_identity(offline_l2, rng):
-    data = offline_l2[0]
+    m_e = offline_l2.m_e[0]
     R = random_stiefel(rng, 10, 2)
     I_R = expand(R)
     np.testing.assert_allclose(
-        reduced_overlap(data.m_e_offline, R),
-        I_R.T @ data.m_e_offline @ I_R,
+        reduced_overlap(m_e, R),
+        I_R.T @ m_e @ I_R,
         atol=1e-12,
     )
 

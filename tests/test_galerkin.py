@@ -103,8 +103,8 @@ class TestInvSqrtSpd:
 
     def test_condition_limit(self):
         with pytest.raises(OvercompletenessError) as exc_info:
-            inv_sqrt_spd(np.diag([1e9, 1.0]), cond_limit=1e6)
-        assert exc_info.value.cond == pytest.approx(1e9)
+            inv_sqrt_spd(np.diag([1e13, 1.0]))
+        assert exc_info.value.cond == pytest.approx(1e13)
 
     def test_stack_matches_single_matrices(self, rng):
         M = rng.standard_normal((5, 4, 4))
@@ -126,45 +126,41 @@ class TestInvSqrtSpd:
 
 class TestReducedGroundPair:
     def test_c_is_overlap_orthonormal(self, offline_l2):
-        data = offline_l2[0]
+        m_e, s_b = offline_l2.m_e[0], offline_l2.s_b[0]
         R = hbs_coefficients(10, 3)
-        pair = reduced_ground_pair(data.m_e_offline, data.s_b, R)
-        S_red = reduced_overlap(data.s_b, R)
+        pair = reduced_ground_pair(m_e, s_b, R)
+        S_red = reduced_overlap(s_b, R)
         np.testing.assert_allclose(
             pair.C.T @ S_red @ pair.C, np.eye(2), atol=1e-8
         )
 
     def test_span_invariance(self, offline_l2, rng):
-        data = offline_l2[4]
+        m_e, s_b = offline_l2.m_e[4], offline_l2.s_b[4]
         R = random_stiefel(rng, 10, 3)
         O = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        e1 = reduced_ground_pair(data.m_e_offline, data.s_b, R).energy
-        e2 = reduced_ground_pair(data.m_e_offline, data.s_b, R @ O).energy
+        e1 = reduced_ground_pair(m_e, s_b, R).energy
+        e2 = reduced_ground_pair(m_e, s_b, R @ O).energy
         assert e1 == pytest.approx(e2, abs=1e-10)
 
     def test_variational_bound(self, offline_l2):
-        for data in offline_l2:
+        d = offline_l2
+        for m_e, s_b, e_ref in zip(d.m_e, d.s_b, d.e_ref):
             for nb in (1, 2, 4):
-                pair = reduced_ground_pair(
-                    data.m_e_offline, data.s_b, hbs_coefficients(10, nb)
-                )
-                assert pair.energy >= data.e_ref - 1e-10
+                pair = reduced_ground_pair(m_e, s_b, hbs_coefficients(10, nb))
+                assert pair.energy >= e_ref - 1e-10
 
     def test_ritz_values_bound_fd_values(self, grid_main, offline_l2):
-        for data in offline_l2[::3]:
-            fd = solve_ground_pair(fd_hamiltonian(grid_main, data.a), grid_main)
-            pair = reduced_ground_pair(
-                data.m_e_offline, data.s_b, hbs_coefficients(10, 3)
-            )
+        d = offline_l2
+        for a, m_e, s_b in zip(d.a[::3], d.m_e[::3], d.s_b[::3]):
+            fd = solve_ground_pair(fd_hamiltonian(grid_main, a), grid_main)
+            pair = reduced_ground_pair(m_e, s_b, hbs_coefficients(10, 3))
             assert pair.mu1 >= fd.lambda1 - 1e-10
             assert pair.mu2 >= fd.lambda2 - 1e-10
 
     def test_variational_ordering_in_n_basis(self, offline_l2):
-        for data in offline_l2:
+        for m_e, s_b in zip(offline_l2.m_e, offline_l2.s_b):
             energies = [
-                reduced_ground_pair(
-                    data.m_e_offline, data.s_b, hbs_coefficients(10, nb)
-                ).energy
+                reduced_ground_pair(m_e, s_b, hbs_coefficients(10, nb)).energy
                 for nb in range(1, 5)
             ]
             assert all(
@@ -173,11 +169,10 @@ class TestReducedGroundPair:
 
     def test_stack_matches_single_solves(self, offline_l2):
         R = hbs_coefficients(10, 3)
-        H = np.stack([d.m_e_offline for d in offline_l2])
-        S = np.stack([d.s_b for d in offline_l2])
-        stacked = reduced_ground_pair(H, S, R, a=[d.a for d in offline_l2])
-        for k, data in enumerate(offline_l2):
-            pair = reduced_ground_pair(data.m_e_offline, data.s_b, R)
+        H, S = offline_l2.m_e, offline_l2.s_b
+        stacked = reduced_ground_pair(H, S, R, a=offline_l2.a)
+        for k in range(len(offline_l2)):
+            pair = reduced_ground_pair(H[k], S[k], R)
             assert stacked.energy[k] == pytest.approx(pair.energy, rel=1e-13)
             assert stacked.mu3[k] == pytest.approx(pair.mu3, rel=1e-13)
             assert stacked.cond[k] == pytest.approx(pair.cond, rel=1e-10)
@@ -188,8 +183,8 @@ class TestReducedGroundPair:
         basis = assemble_dimer(grid_main, a, 10)
         H = fd_hamiltonian(grid_main, a)
         R = hbs_coefficients(10, 10)
-        M = basis.columns.T @ H.matvec(basis.columns)
-        S = basis.columns.T @ basis.columns
+        M = basis.T @ H.matvec(basis)
+        S = basis.T @ basis
         pair = reduced_ground_pair(M, S, R)
         dense_vals = scipy.linalg.eigh(M, S, eigvals_only=True)
         assert pair.mu1 == pytest.approx(dense_vals[0], abs=1e-10)
@@ -198,11 +193,10 @@ class TestReducedGroundPair:
 
 @pytest.fixture(scope="module")
 def density(grid_main, offline_l2):
-    data = offline_l2[2]
     R = hbs_coefficients(10, 3)
-    pair = reduced_ground_pair(data.m_e_offline, data.s_b, R)
-    basis = assemble_dimer(grid_main, data.a, 10)
-    return lcao_density(basis.columns, R, pair.C, grid_main)
+    pair = reduced_ground_pair(offline_l2.m_e[2], offline_l2.s_b[2], R)
+    basis = assemble_dimer(grid_main, offline_l2.a[2], 10)
+    return lcao_density(basis, R, pair.C, grid_main)
 
 
 class TestLcaoDensity:

@@ -61,28 +61,29 @@ def test_dimer_equals_column_recurrence(buffers):
     if buffers:  # filled with garbage that must be overwritten
         out, rows = np.full((1999, 20), np.nan), np.full((10, 2, 1999), np.nan)
     b = assemble_dimer(g, 1.7, 10, out, rows)
-    np.testing.assert_array_equal(b.columns, expected)
+    np.testing.assert_array_equal(b, expected)
+    assert not b.flags.writeable
     if buffers:
-        assert np.shares_memory(b.columns, out)
+        assert np.shares_memory(b, out) and out.flags.writeable
 
 
 def test_ground_state_value_at_center():
     g = build_grid(20.0, 1999)
     basis = hermite_columns(g, 0.0, 1)
-    at_center = basis.columns[np.argmin(np.abs(g.points)), 0]
+    at_center = basis[np.argmin(np.abs(g.points)), 0]
     assert at_center == pytest.approx(np.sqrt(g.dx) * np.pi**-0.25, rel=1e-12)
 
 
 def test_columns_orthonormal():
     g = build_grid(20.0, 1999)
-    cols = hermite_columns(g, 0.0, 10).columns
+    cols = hermite_columns(g, 0.0, 10)
     gram = cols.T @ cols
     assert np.abs(gram - np.eye(10)).max() < 1e-6
 
 
 def test_column_parity_about_center():
     g = build_grid(20.0, 1999)  # odd point count, symmetric about 0
-    cols = hermite_columns(g, 0.0, 6).columns
+    cols = hermite_columns(g, 0.0, 6)
     for n in range(6):
         sign = 1.0 if n % 2 == 0 else -1.0
         np.testing.assert_allclose(cols[:, n], sign * cols[::-1, n], atol=1e-12)
@@ -98,7 +99,7 @@ def test_harmonic_oscillator_residual():
             diag=inv_dx2 + 0.5 * g.points**2,
             offdiag=np.full(g.n_points - 1, -0.5 * inv_dx2),
         )
-        cols = hermite_columns(g, 0.0, 10).columns
+        cols = hermite_columns(g, 0.0, 10)
         return [
             np.linalg.norm(h_ho.matvec(cols[:, n]) - (n + 0.5) * cols[:, n])
             for n in range(10)
@@ -115,16 +116,16 @@ class TestAssembleDimer:
     def test_coincident_centers(self):
         g = build_grid(20.0, 1999)
         b = assemble_dimer(g, 0.0, 4)
-        np.testing.assert_array_equal(b.columns[:, :4], b.columns[:, 4:])
+        np.testing.assert_array_equal(b[:, :4], b[:, 4:])
 
     def test_block_order(self):
         g = build_grid(20.0, 1999)
         b = assemble_dimer(g, 2.0, 3)
         np.testing.assert_array_equal(
-            b.columns[:, :3], hermite_columns(g, 2.0, 3).columns
+            b[:, :3], hermite_columns(g, 2.0, 3)
         )
         np.testing.assert_array_equal(
-            b.columns[:, 3:], hermite_columns(g, -2.0, 3).columns
+            b[:, 3:], hermite_columns(g, -2.0, 3)
         )
 
     def test_far_centers_decoupled(self):
@@ -132,20 +133,20 @@ class TestAssembleDimer:
         cross = {}
         for a in (5.0, 7.0):
             b = assemble_dimer(g, a, 10)
-            cross[a] = np.abs(b.columns[:, :10].T @ b.columns[:, 10:]).max()
+            cross[a] = np.abs(b[:, :10].T @ b[:, 10:]).max()
         assert cross[7.0] < 1e-6
         assert cross[7.0] < 1e-3 * cross[5.0]
 
     def test_near_centers_overcomplete(self):
         g = build_grid(20.0, 1999)
         b = assemble_dimer(g, 0.1, 4)
-        sigma = b.columns[:, :4].T @ b.columns[:, 4:]
+        sigma = b[:, :4].T @ b[:, 4:]
         assert np.abs(sigma - np.eye(4)).max() < 0.3
 
     def test_overlap_block_structure(self):
         g = build_grid(20.0, 1999)
         b = assemble_dimer(g, 2.5, 8)
-        overlap = b.columns.T @ b.columns
+        overlap = b.T @ b
         assert np.abs(overlap[:8, :8] - np.eye(8)).max() < 1e-6
         assert np.abs(overlap[8:, 8:] - np.eye(8)).max() < 1e-6
 

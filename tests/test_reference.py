@@ -20,10 +20,11 @@ from basisopt.reference import (
     load_or_build_each,
     save_offline_entry,
     solve_ground_pair,
+    stack_offline,
     uniform_measure,
 )
 
-OFFLINE_FIELDS = ("m_a_offline", "s_a_b", "m_e_offline", "s_b")
+OFFLINE_FIELDS = ("m_a", "s_a", "m_e", "s_b")
 RECORD_FIELDS = ("g", "g_lap", "s_b", "m_e", "s_lap")
 
 
@@ -126,26 +127,28 @@ class TestSolveGroundPair:
 
 class TestBuildOffline:
     def test_matrices_symmetric(self, offline_l2, offline_h1):
-        for data in (*offline_l2, *offline_h1):
-            for m in (data.m_a_offline, data.s_a_b, data.m_e_offline, data.s_b):
-                assert np.abs(m - m.T).max() < 1e-12
+        for offline in (offline_l2, offline_h1):
+            for name in OFFLINE_FIELDS:
+                for m in getattr(offline, name):
+                    assert np.abs(m - m.T).max() < 1e-12
 
     def test_overlaps_positive_definite(self, offline_l2, offline_h1):
-        for data in (*offline_l2, *offline_h1):
-            assert np.linalg.eigvalsh(data.s_b)[0] > 0
-            assert np.linalg.eigvalsh(data.s_a_b)[0] > 0
+        for offline in (offline_l2, offline_h1):
+            for s_b, s_a in zip(offline.s_b, offline.s_a):
+                assert np.linalg.eigvalsh(s_b)[0] > 0
+                assert np.linalg.eigvalsh(s_a)[0] > 0
 
     def test_projector_rank_and_trace_bound(self, offline_l2):
-        for data in offline_l2:
-            rank = np.linalg.matrix_rank(data.m_a_offline, tol=1e-10)
+        for m_a, s_b in zip(offline_l2.m_a, offline_l2.s_b):
+            rank = np.linalg.matrix_rank(m_a, tol=1e-10)
             assert rank == 2
-            captured = np.trace(data.m_a_offline @ np.linalg.inv(data.s_b))
+            captured = np.trace(m_a @ np.linalg.inv(s_b))
             assert captured <= 2.0 + 1e-9
 
     def test_full_capture_with_augmented_basis(self, grid_main):
         # basis containing the exact FD pair captures the full trace 2
         pair = solve_ground_pair(fd_hamiltonian(grid_main, 2.0), grid_main)
-        extra = hermite_columns(grid_main, 0.0, 2).columns
+        extra = hermite_columns(grid_main, 0.0, 2)
         B = np.column_stack([pair.phi1, pair.phi2, extra])
         phis = np.column_stack([pair.phi1, pair.phi2])
         G = phis.T @ B
@@ -159,11 +162,12 @@ class TestBuildOffline:
         # nested Hermite spans: the full-space Ritz pair improves with N;
         # skip the smallest separations where the N=10 dimer overlap is
         # numerically singular
-        for d5, d10 in zip(offline_l2_n5, offline_l2):
-            if d5.a < 2.5:
+        d5, d10 = offline_l2_n5, offline_l2
+        for k, a in enumerate(d5.a):
+            if a < 2.5:
                 continue
-            p5 = reduced_ground_pair(d5.m_e_offline, d5.s_b, np.eye(5))
-            p10 = reduced_ground_pair(d10.m_e_offline, d10.s_b, np.eye(10))
+            p5 = reduced_ground_pair(d5.m_e[k], d5.s_b[k], np.eye(5))
+            p10 = reduced_ground_pair(d10.m_e[k], d10.s_b[k], np.eye(10))
             assert p10.mu1 <= p5.mu1 + 1e-12
             assert p10.mu2 <= p5.mu2 + 1e-12
 
@@ -173,14 +177,15 @@ class TestBuildOffline:
         a, n = 2.3, 6
         H = fd_hamiltonian(grid_main, a)
         pair = solve_ground_pair(H, grid_main)
-        B = assemble_dimer(grid_main, a, n).columns
+        B = assemble_dimer(grid_main, a, n)
         phis = np.column_stack([pair.phi1, pair.phi2])
 
         def sym(m):
             return 0.5 * (m + m.T)
 
         for metric, AB in (("L2", B), ("H1", h1_metric(grid_main).matvec(B))):
-            data = build_offline_single(grid_main, a, 1.0, n, metric)
+            record = build_offline_single(grid_main, a, n)
+            data = stack_offline([record], [1.0], metric)
             G = phis.T @ AB
             direct = (
                 sym(G.T @ G),
@@ -188,14 +193,19 @@ class TestBuildOffline:
                 sym(B.T @ H.matvec(B)),
                 sym(B.T @ B),
             )
-            assert data.e_ref == pair.energy
+            assert data.e_ref[0] == pair.energy
             for name, expected in zip(OFFLINE_FIELDS, direct):
-                got = getattr(data, name)
-                if metric == "L2" or name in ("m_e_offline", "s_b"):
+                got = getattr(data, name)[0]
+                if metric == "L2" or name in ("m_e", "s_b"):
                     assert np.array_equal(got, expected), (metric, name)
                 else:
                     scale = np.abs(expected).max()
                     assert np.abs(got - expected).max() <= 1e-12 * scale, name
+
+    def test_unknown_metric_rejected(self, grid_main):
+        record = build_offline_single(grid_main, 2.0, 3)
+        with pytest.raises(ValueError, match="metric"):
+            stack_offline([record], [1.0], "H2")
 
     def test_compressed_matches_dense_projector(self, rng):
         # small-instance oracle: j_A from the compressed matrices equals
@@ -210,8 +220,8 @@ class TestBuildOffline:
         a = 2.3
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            data = build_offline_single(g, a, 1.0, 6, "H1")
-            B = assemble_dimer(g, a, 6).columns
+            data = stack_offline([build_offline_single(g, a, 6)], [1.0], "H1")
+            B = assemble_dimer(g, a, 6)
         A = h1_metric(g).to_dense()
         pair = solve_ground_pair(fd_hamiltonian(g, a), g)
         P = np.outer(pair.phi1, pair.phi1) + np.outer(pair.phi2, pair.phi2)
@@ -219,13 +229,13 @@ class TestBuildOffline:
         X = B @ expand(R)
         Pi = X @ np.linalg.solve(X.T @ A @ X, X.T @ A)
         direct = -np.trace(P @ Pi.T @ A @ Pi)
-        compressed = eval_JA(R, [data])
+        compressed = eval_JA(R, data)
         assert compressed == pytest.approx(direct, rel=1e-9)
 
 
 class TestCache:
     def test_round_trip_bit_exact(self, tmp_path, grid_main):
-        record = build_offline_single(grid_main, 1.5, 0.1, 5, None)
+        record = build_offline_single(grid_main, 1.5, 5)
         save_offline_entry(str(tmp_path), grid_main, record)
         loaded = load_cached(str(tmp_path), grid_main, 1.5, 5)
         assert loaded is not None
@@ -241,11 +251,12 @@ class TestCache:
         build_offline(grid_main, m, 5, other, str(tmp_path))
         cached = build_offline(grid_main, m, 5, metric, str(tmp_path))
         assert len(os.listdir(tmp_path)) == len(m.points)
-        for data, a, w in zip(cached, m.points, m.weights):
-            fresh = build_offline_single(grid_main, a, w, 5, metric)
-            assert (data.a, data.weight, data.e_ref) == (a, w, fresh.e_ref)
-            for name in OFFLINE_FIELDS:
-                assert np.array_equal(getattr(data, name), getattr(fresh, name))
+        records = [build_offline_single(grid_main, a, 5) for a in m.points]
+        fresh = stack_offline(records, m.weights, metric)
+        assert cached.a.tolist() == list(m.points)
+        assert cached.weight.tolist() == list(m.weights)
+        for name in ("e_ref", *OFFLINE_FIELDS):
+            assert np.array_equal(getattr(cached, name), getattr(fresh, name))
 
     def test_keys_distinguish_parameters(self, grid_main):
         # the metric is not a parameter: one entry serves L2 and H1
@@ -272,9 +283,8 @@ class TestCache:
         m = uniform_measure(1.5, 2.0, 2)
         first = build_offline(grid_main, m, 5, "L2", str(tmp_path))
         second = build_offline(grid_main, m, 5, "L2", str(tmp_path))
-        for d1, d2 in zip(first, second):
-            assert np.array_equal(d1.m_e_offline, d2.m_e_offline)
-            assert d1.weight == d2.weight
+        assert np.array_equal(first.m_e, second.m_e)
+        assert np.array_equal(first.weight, second.weight)
 
     def test_miss_returns_none(self, tmp_path, grid_main):
         assert load_cached(str(tmp_path), grid_main, 9.9, 5) is None
@@ -324,7 +334,7 @@ class TestWorkspace:
         a_values = (0.0, 1.5, 2.25, 3.0)
         records = [r for r, _ in load_or_build_each(g, a_values, n_funcs)]
         for a, record in zip(a_values, records):
-            fresh = build_offline_single(g, a, 1.0, n_funcs, None)
+            fresh = build_offline_single(g, a, n_funcs)
             assert record.e_ref == fresh.e_ref
             for name in RECORD_FIELDS:
                 assert np.array_equal(getattr(record, name), getattr(fresh, name))
@@ -333,8 +343,8 @@ class TestWorkspace:
         ws = FDWorkspace(grid_main, 5)
         fd = reference.solve_configuration(grid_main, 2.0, 5, ws)
         assert np.shares_memory(fd.basis, ws.basis)
-        assert np.array_equal(fd.basis, assemble_dimer(grid_main, 2.0, 5).columns)
-        record = build_offline_single(grid_main, 2.0, 1.0, 5, None, fd, ws)
+        assert np.array_equal(fd.basis, assemble_dimer(grid_main, 2.0, 5))
+        record = build_offline_single(grid_main, 2.0, 5, fd, ws)
         for name in RECORD_FIELDS:
             for buffer in (ws.basis, ws.scratch, ws.grad):
                 assert not np.shares_memory(getattr(record, name), buffer)
@@ -343,10 +353,10 @@ class TestWorkspace:
         # deterministic allocation budget: the grid-size intermediates of a
         # build live in the workspace, so what is left stays below one B
         ws = FDWorkspace(grid_main, 10)
-        build_offline_single(grid_main, 2.0, 1.0, 10, None, workspace=ws)
+        build_offline_single(grid_main, 2.0, 10, workspace=ws)
         tracemalloc.start()
         try:
-            build_offline_single(grid_main, 2.5, 1.0, 10, None, workspace=ws)
+            build_offline_single(grid_main, 2.5, 10, workspace=ws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,0 +1,33 @@
+import importlib.util
+import os
+
+import pytest
+
+from basisopt import reference
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
+
+
+def load_script(name):
+    path = os.path.join(SCRIPTS, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, cache):
+    # one FD solve per configuration serves the L2 and the H1 tables
+    calls = []
+    solve = reference.solve_ground_pair
+    monkeypatch.setattr(
+        reference, "solve_ground_pair", lambda *args: calls.append(args) or solve(*args)
+    )
+    out = tmp_path / "tables.csv"
+    argv = ["--n-points", "399", "--n-funcs", "4", "--csv", str(out)]
+    if cache:
+        argv += ["--cache", str(tmp_path / "cache")]
+    assert load_script("run_tables").main(argv) == 0
+    assert len(calls) == len(reference.default_measure().points)
+    assert len(out.read_text().splitlines()) == 1 + 3 * 4

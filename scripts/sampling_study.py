@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from basisopt.criteria import CriterionKind, make_criterion
-from basisopt.evaluate import default_curve_points, energy_curve
+from basisopt.evaluate import curves, default_curve_points
 from basisopt.galerkin import hbs_coefficients
 from basisopt.grid import build_grid
 from basisopt.reference import Measure, build_offline, default_measure, uniform_measure
@@ -30,20 +30,21 @@ SPARSE_MEASURES = {
 }
 
 
-def curve_mse(R, grid, n_funcs, a_values):
-    curve = energy_curve(R, a_values, grid, n_funcs)
+def curve_mse(curve):
     return float(np.mean([p.abs_error**2 for p in curve]))
 
 
 def study_sampling(grid, cache):
-    a_values = default_curve_points(50)
+    # train every sparse basis first, so one curve pass serves them all
     hbs = hbs_coefficients(10, 3)
-    mse_hbs = curve_mse(hbs, grid, 10, a_values)
-    print(f"HBS N_b=3 whole-curve MSE: {mse_hbs:.3e}")
+    results = {}
     for label, measure in SPARSE_MEASURES.items():
         offline = build_offline(grid, measure, 10, "L2", cache)
-        result = minimize(make_criterion(CriterionKind.JE, offline), hbs)
-        mse = curve_mse(result.R_opt, grid, 10, a_values)
+        results[label] = minimize(make_criterion(CriterionKind.JE, offline), hbs)
+    bases = [hbs] + [result.R_opt for result in results.values()]
+    mse_hbs, *mses = map(curve_mse, curves(bases, default_curve_points(50), grid, 10))
+    print(f"HBS N_b=3 whole-curve MSE: {mse_hbs:.3e}")
+    for (label, result), mse in zip(results.items(), mses):
         print(
             f"{label:30s} MSE={mse:.3e}  gain={mse_hbs / mse:8.1f}x  "
             f"iters={result.iterations}"

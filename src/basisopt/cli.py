@@ -20,9 +20,8 @@ from . import __version__
 from .criteria import CriterionKind, eval_JA, eval_JE, make_criterion
 from .evaluate import (
     CURVE_A_MAX,
-    curve_point,
+    curves,
     default_curve_points,
-    density_error,
     overlap_condition_sweep,
 )
 from .galerkin import OvercompletenessError, expand, hbs_coefficients
@@ -30,15 +29,12 @@ from .grid import R_MAX, Grid, build_grid, default_x_max
 from .hermite import assemble_dimer
 from .reference import (
     METRICS,
-    FDWorkspace,
     Measure,
     NumericalFailure,
     build_offline,
     cache_key,
     default_measure,
-    load_or_build,
     load_or_build_each,
-    solve_configuration,
     stack_offline,
     uniform_measure,
 )
@@ -163,7 +159,12 @@ def _validate(cfg: RunConfig):
         raise ConfigError(
             f"need 1 <= n_basis <= n_funcs, got {cfg.n_basis}, {cfg.n_funcs}"
         )
-    grid = cfg.grid()
+    if cfg.curve_points < 1:
+        raise ConfigError(f"need curve_points >= 1, got {cfg.curve_points}")
+    try:
+        grid = cfg.grid()
+    except ValueError as exc:  # a non-positive x_max or too few points
+        raise ConfigError(f"invalid grid: {exc}") from exc
     if cfg.measure.a_max + 1.0 >= grid.x_max:
         raise ConfigError(
             f"largest configuration {cfg.measure.a_max} does not fit the box "
@@ -226,6 +227,8 @@ def load_artifact(path: str) -> dict:
         doc["R"] = np.asarray(doc["R"], dtype=float)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"unreadable artifact {path}: {exc!r}") from exc
+    if not np.isfinite(doc["R"]).all():
+        raise ConfigError(f"artifact {path} has non-finite entries in R")
     if doc.get("schema_version") != ARTIFACT_SCHEMA:
         raise ConfigError(f"unsupported artifact schema in {path}")
     if not {"n_funcs", "n_basis", "criterion", "grid"} <= doc.keys():
@@ -363,30 +366,15 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _curves(cfg: RunConfig, grid: Grid, docs: list[dict], a_values):
-    """Energy and density-error curves of every artifact: one FD solve per
-    curve point, shared by every artifact. The workspace lives as long as
-    this loop, so its buffers are freed before the report writes files."""
-    curves = [[] for _ in docs]
-    errors = [[] for _ in docs]
-    workspace = FDWorkspace(grid, cfg.n_funcs)
-    for a in a_values:
-        fd = solve_configuration(grid, a, cfg.n_funcs, workspace)
-        record, _ = load_or_build(grid, a, cfg.n_funcs, cfg.cache_dir, fd, workspace)
-        for doc, curve, error in zip(docs, curves, errors):
-            curve.append(curve_point(doc["R"], record))
-            error.append(density_error(doc["R"], a, grid, cfg.n_funcs, fd, record))
-    return curves, errors
-
-
 def cmd_report(cfg: RunConfig, args) -> int:
     docs = _gather_artifacts(cfg, args)
     grid = cfg.grid()
     # end the curve where the box still holds the basis tails
     a_end = min(CURVE_A_MAX, grid.x_max - R_MAX)
     a_values = default_curve_points(cfg.curve_points, a_end)
-    curves, errors = _curves(cfg, grid, docs, a_values)
-    for doc, curve, error in zip(docs, curves, errors):
+    bases = [doc["R"] for doc in docs]
+    per_doc = curves(bases, a_values, grid, cfg.n_funcs, cfg.cache_dir)
+    for doc, curve in zip(docs, per_doc):
         label = _artifact_label(doc)
         write_csv(
             os.path.join(cfg.out_dir, f"energy_curve_{label}.csv"),
@@ -396,7 +384,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         write_csv(
             os.path.join(cfg.out_dir, f"density_error_{label}.csv"),
             ["a", "l1", "h1", "vw"],
-            [(e.a, e.l1, e.h1, e.vw) for e in error],
+            [(p.a, p.l1, p.h1, p.vw) for p in curve],
         )
     _write_basis_functions(cfg, grid, docs)
     sweep_a = np.geomspace(0.1, CURVE_A_MAX, 40)

@@ -1,40 +1,35 @@
-"""Post-optimization studies: dissociation curves, density errors,
-overlap conditioning sweeps."""
+"""Post-optimization studies: dissociation curves with their density
+errors, overlap conditioning sweeps.
+
+`curves` judges bases along the dissociation curve by both measures of the
+paper at once: each curve point takes one FD solve and one offline record,
+shared by every basis, and each basis one reduced solve there, which gives
+its energy error and, through its LCAO density, its density errors.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import OvercompletenessError, lcao_density, reduced_ground_pair
+from .galerkin import lcao_density, reduced_ground_pair
 from .grid import Grid
 from .hermite import hermite_functions
-from .reference import (
-    OfflineRecord,
-    SolvedConfiguration,
-    build_offline_single,
-    load_or_build_each,
-    solve_configuration,
-)
+from .reference import FDWorkspace, load_or_build, solve_configuration
 
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One basis at one configuration: reference vs reduced ground-state
+    energy, the reduced overlap's condition number, and the L1, H1 and
+    von-Weizsacker distances between the LCAO and FD densities."""
+
     a: float
     e_ref: float
     e_basis: float
     abs_error: float
     cond: float
-
-    @property
-    def failed(self) -> bool:
-        return not np.isfinite(self.e_basis)
-
-
-@dataclass(frozen=True)
-class DensityError:
-    a: float
     l1: float
     h1: float
     vw: float
@@ -50,39 +45,44 @@ def default_curve_points(count: int = 50, a_max: float = CURVE_A_MAX) -> np.ndar
     return np.linspace(1.5, a_max, count)
 
 
-def curve_point(R: np.ndarray, record: OfflineRecord) -> CurvePoint:
-    """Reference vs reduced ground-state energy at one configuration.
-
-    Overcompleteness failures are recorded as NaN points, not raised, so a
-    sweep into the ill-conditioned small-a region stays usable.
-    """
-    try:
-        pair = reduced_ground_pair(record.m_e, record.s_b, R, a=record.a)
-        e_basis, cond = pair.energy, pair.cond
-    except OvercompletenessError as exc:
-        e_basis, cond = np.nan, exc.cond
-    return CurvePoint(
-        a=record.a,
-        e_ref=record.e_ref,
-        e_basis=float(e_basis),
-        abs_error=float(abs(record.e_ref - e_basis)),
-        cond=float(cond),
-    )
-
-
-def energy_curve(
-    R: np.ndarray,
+def curves(
+    bases,
     a_values,
     grid: Grid,
     n_funcs: int,
     cache_dir: str | None = None,
-) -> list[CurvePoint]:
-    """Reference vs reduced ground-state energies along the curve."""
-    a_values = np.asarray(a_values, dtype=float)
-    return [
-        curve_point(R, record)
-        for record, _ in load_or_build_each(grid, a_values, n_funcs, cache_dir)
-    ]
+) -> list[list[CurvePoint]]:
+    """The curve of each coefficient matrix in `bases`: one CurvePoint per a.
+
+    Each a takes one FD solve and one offline record (through the cache when
+    cache_dir is set), shared by every basis; each basis takes one reduced
+    solve per a. Raises OvercompletenessError at the first point where a
+    basis's reduced overlap is ill-conditioned. The grid-size FD buffers are
+    freed when it returns.
+    """
+    out = [[] for _ in bases]
+    workspace = FDWorkspace(grid, n_funcs)
+    for a in np.asarray(a_values, dtype=float):
+        fd = solve_configuration(grid, a, n_funcs, workspace)
+        record, _ = load_or_build(grid, a, n_funcs, cache_dir, fd, workspace)
+        rho_ref = (fd.pair.phi1**2 + fd.pair.phi2**2) / grid.dx
+        for R, curve in zip(bases, out):
+            pair = reduced_ground_pair(record.m_e, record.s_b, R, a=a)
+            rho = lcao_density(fd.basis, R, pair.C, grid)
+            l1, h1, vw = density_error(rho, rho_ref, grid.dx)
+            curve.append(
+                CurvePoint(
+                    a=record.a,
+                    e_ref=record.e_ref,
+                    e_basis=float(pair.energy),
+                    abs_error=float(abs(record.e_ref - pair.energy)),
+                    cond=float(pair.cond),
+                    l1=l1,
+                    h1=h1,
+                    vw=vw,
+                )
+            )
+    return out
 
 
 def _diff(values: np.ndarray, dx: float) -> np.ndarray:
@@ -95,35 +95,17 @@ def _diff(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def density_error(
-    R: np.ndarray,
-    a: float,
-    grid: Grid,
-    n_funcs: int,
-    fd: SolvedConfiguration | None = None,
-    record: OfflineRecord | None = None,
-) -> DensityError:
-    """L1, H1 and von-Weizsacker distances between LCAO and FD densities.
-
-    A caller that evaluates several bases at a passes its FD solve and
-    offline record, so they are made once.
-    """
-    if fd is None:
-        fd = solve_configuration(grid, a, n_funcs)
-    if record is None:
-        record = build_offline_single(grid, a, n_funcs, fd)
-    rho_ref = (fd.pair.phi1**2 + fd.pair.phi2**2) / grid.dx
-    pair = reduced_ground_pair(record.m_e, record.s_b, R, a=a)
-    rho = lcao_density(fd.basis, R, pair.C, grid)
-
+    rho: np.ndarray, rho_ref: np.ndarray, dx: float
+) -> tuple[float, float, float]:
+    """L1, H1 and von-Weizsacker distances between the grid densities rho
+    and rho_ref."""
     delta = rho - rho_ref
-    d_delta = _diff(delta, grid.dx)
-    d_sqrt = _diff(np.sqrt(np.clip(rho, 0.0, None)) - np.sqrt(rho_ref), grid.dx)
-    dx = grid.dx
-    return DensityError(
-        a=float(a),
-        l1=float(dx * np.sum(np.abs(delta))),
-        h1=float(np.sqrt(dx * np.sum(delta**2) + dx * np.sum(d_delta**2))),
-        vw=float(np.sqrt(dx * np.sum(d_sqrt**2))),
+    d_delta = _diff(delta, dx)
+    d_sqrt = _diff(np.sqrt(np.clip(rho, 0.0, None)) - np.sqrt(rho_ref), dx)
+    return (
+        float(dx * np.sum(np.abs(delta))),
+        float(np.sqrt(dx * np.sum(delta**2) + dx * np.sum(d_delta**2))),
+        float(np.sqrt(dx * np.sum(d_sqrt**2))),
     )
 
 

@@ -97,8 +97,8 @@ class TridiagOperator:
 
 def build_grid(x_max: float, n_points: int) -> Grid:
     """Build the uniform Dirichlet grid on [-x_max, x_max]."""
-    if x_max <= 0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
+    if not 0 < x_max < np.inf:  # NaN fails the comparison too
+        raise ValueError(f"x_max must be positive and finite, got {x_max}")
     if n_points < 3:
         raise ValueError(f"n_points must be at least 3, got {n_points}")
     dx = 2.0 * x_max / (n_points + 1)

@@ -36,6 +36,8 @@ class OptimSettings:
             raise ValueError("grad_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.lbfgs_memory < 0:
+            raise ValueError("lbfgs_memory must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from basisopt.criteria import (
     make_criterion,
 )
 from basisopt.evaluate import (
+    curves,
     default_curve_points,
-    energy_curve,
     overlap_condition_sweep,
 )
 from basisopt.galerkin import expand, hbs_coefficients, lcao_density, reduced_ground_pair
@@ -257,8 +257,9 @@ def test_criterion_9_sparse_sampling(grid_main):
         make_criterion(CriterionKind.JE, offline), hbs_coefficients(10, 3)
     )
     a_values = default_curve_points(50)
-    hbs_curve = energy_curve(hbs_coefficients(10, 3), a_values, grid_main, 10)
-    obs_curve = energy_curve(result.R_opt, a_values, grid_main, 10)
+    hbs_curve, obs_curve = curves(
+        [hbs_coefficients(10, 3), result.R_opt], a_values, grid_main, 10
+    )
     mse_hbs = np.mean([p.abs_error**2 for p in hbs_curve])
     mse_obs = np.mean([p.abs_error**2 for p in obs_curve])
     ratio = mse_hbs / mse_obs

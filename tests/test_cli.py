@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import basisopt
-from basisopt import cli, reference
+from basisopt import cli, evaluate, reference
 from basisopt.cli import (
     ConfigError,
     RunConfig,
@@ -126,6 +126,44 @@ class TestConfig:
         assert line.startswith("configuration error:")
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["reference"],
+            ["optimize"],
+            ["evaluate", "--hbs", "1"],
+            ["report", "--hbs", "1"],
+        ],
+        ids=lambda command: command[0],
+    )
+    @pytest.mark.parametrize(
+        "grid", ["n_points = 2", "x_max = -3", "x_max = nan"],
+        ids=["two_points", "negative_x_max", "nan_x_max"],
+    )
+    def test_invalid_grid_is_config_error(self, tmp_path, capsys, command, grid):
+        path = tmp_path / "grid.ini"
+        path.write_text(SMALL_CONFIG.replace("n_points = 699", grid))
+        assert run(command, tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error: invalid grid:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            (["optimize"], "lbfgs_memory = -1\n"),
+            (["report", "--hbs", "1"], "\n[report]\ncurve_points = -1\n"),
+        ],
+        ids=["lbfgs_memory", "curve_points"],
+    )
+    def test_negative_count_is_config_error(self, tmp_path, capsys, command, extra):
+        path = tmp_path / "neg.ini"
+        path.write_text(SMALL_CONFIG + extra)
+        assert run(command, tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error:")
+        assert not (tmp_path / "out").exists()
 
 
 class TestReference:
@@ -271,6 +309,35 @@ class TestEvaluateReport:
         assert run([command, str(path)], tmp_path, small_config) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=str)
+    def test_non_finite_artifact_is_config_error(
+        self, tmp_path, small_config, capsys, command, value
+    ):
+        doc = hbs_artifact(load_config(small_config), 1)
+        doc["R"] = doc["R"].tolist()
+        doc["R"][2][0] = value  # json writes NaN and Infinity
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run([command, str(path)], tmp_path, small_config) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error:") and "non-finite" in line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_overcomplete_basis_is_numerical_failure(
+        self, tmp_path, capsys, command
+    ):
+        # ten Hermite functions per centre: cond(S) is about 6e14 at a = 1.5
+        path = tmp_path / "ten.ini"
+        path.write_text(SMALL_CONFIG.replace("n_funcs = 5", "n_funcs = 10"))
+        assert run([command, "--hbs", "10"], tmp_path, str(path)) == 3
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("numerical failure:") and "at a=1.5" in line
+        out = tmp_path / "out"
+        written = [p.name for p in out.iterdir()] if out.exists() else []
+        assert not [n for n in written if n.startswith(("energy_", "density_"))]
+
     def test_incompatible_artifacts_rejected(self, tmp_path, small_config):
         cfg = load_config(small_config)
         doc = hbs_artifact(cfg, 1)
@@ -314,6 +381,21 @@ class TestStartupAndSolves:
         assert run(args, tmp_path, str(path)) == 0
         assert len(solves) == 4
         assert snapshot(tmp_path / "cache") == cold
+
+    def test_report_one_reduced_solve_per_basis_and_point(self, tmp_path, monkeypatch):
+        # one reduced solve serves a point's energy and its density errors
+        calls = []
+        solve = evaluate.reduced_ground_pair
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "reduced_ground_pair", counted)
+        path = tmp_path / "rep.ini"
+        path.write_text(SMALL_CONFIG + "\n[report]\ncurve_points = 4\n")
+        assert run(["report", "--hbs", "1", "--hbs", "2"], tmp_path, str(path)) == 0
+        assert len(calls) == 2 * 4
 
     def test_report_one_dimer_basis_for_all_artifacts(self, tmp_path, monkeypatch):
         # one basis per curve point, and one for every basis-function file

@@ -3,12 +3,17 @@ import pytest
 
 from basisopt.criteria import CriterionKind, eval_JE
 from basisopt.evaluate import (
+    curves,
     default_curve_points,
     density_error,
-    energy_curve,
     overlap_condition_sweep,
 )
-from basisopt.galerkin import hbs_coefficients
+from basisopt.galerkin import OvercompletenessError, hbs_coefficients
+
+
+def curve_point(R, a, grid):
+    """The CurvePoint of one basis at one configuration."""
+    return curves([R], [a], grid, 10)[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +28,8 @@ def l2_obs_nb3(optimized):
 
 class TestEnergyCurve:
     def test_variational_inequality(self, grid_main):
-        curve = energy_curve(
-            hbs_coefficients(10, 2), default_curve_points(12), grid_main, 10
+        (curve,) = curves(
+            [hbs_coefficients(10, 2)], default_curve_points(12), grid_main, 10
         )
         for point in curve:
             assert point.e_basis >= point.e_ref - 1e-10
@@ -35,14 +40,15 @@ class TestEnergyCurve:
     ):
         R = hbs_coefficients(10, 3)
         je = eval_JE(R, offline_l2)
-        curve = energy_curve(R, measure.points, grid_main, 10)
+        (curve,) = curves([R], measure.points, grid_main, 10)
         for point, w in zip(curve, measure.weights):
             assert w * point.abs_error**2 <= je + 1e-15
 
     def test_optimized_beats_hbs_by_three_orders(self, grid_main, e_obs_nb4):
         a_values = default_curve_points(50)
-        hbs = energy_curve(hbs_coefficients(10, 4), a_values, grid_main, 10)
-        obs = energy_curve(e_obs_nb4, a_values, grid_main, 10)
+        hbs, obs = curves(
+            [hbs_coefficients(10, 4), e_obs_nb4], a_values, grid_main, 10
+        )
         mse_hbs = np.mean([p.abs_error**2 for p in hbs])
         mse_obs = np.mean([p.abs_error**2 for p in obs])
         assert mse_hbs / mse_obs >= 1e3
@@ -50,8 +56,8 @@ class TestEnergyCurve:
     def test_no_extrapolation_gain_at_small_a(self, grid_main, e_obs_nb4):
         # a = 0.5 sits outside the training window [1.5, 5]: the optimized
         # basis gives no improvement there, yet stays usable
-        hbs = energy_curve(hbs_coefficients(10, 4), [0.5], grid_main, 10)[0]
-        obs = energy_curve(e_obs_nb4, [0.5], grid_main, 10)[0]
+        hbs = curve_point(hbs_coefficients(10, 4), 0.5, grid_main)
+        obs = curve_point(e_obs_nb4, 0.5, grid_main)
         assert obs.abs_error >= 0.5 * hbs.abs_error
         assert obs.abs_error < 0.1
 
@@ -63,23 +69,23 @@ class TestDensityError:
         rho = np.exp(-grid_main.points**2)
         delta = rho - rho
         assert np.linalg.norm(_diff(delta, grid_main.dx)) == 0.0
-        err = density_error(hbs_coefficients(10, 10), 3.0, grid_main, 10)
+        err = curve_point(hbs_coefficients(10, 10), 3.0, grid_main)
         # full N-function span: only the Hermite truncation error remains
         assert err.l1 < 1e-3 and err.h1 < 1e-3 and err.vw < 1e-3
 
     def test_norms_nonnegative(self, grid_main):
-        err = density_error(hbs_coefficients(10, 2), 2.0, grid_main, 10)
+        err = curve_point(hbs_coefficients(10, 2), 2.0, grid_main)
         assert err.l1 >= 0 and err.h1 >= 0 and err.vw >= 0
 
     def test_optimized_beats_hbs_at_a3(self, grid_main, l2_obs_nb3):
-        hbs = density_error(hbs_coefficients(10, 3), 3.0, grid_main, 10)
-        obs = density_error(l2_obs_nb3, 3.0, grid_main, 10)
+        hbs = curve_point(hbs_coefficients(10, 3), 3.0, grid_main)
+        obs = curve_point(l2_obs_nb3, 3.0, grid_main)
         assert obs.l1 < hbs.l1
 
     def test_hbs_errors_decrease_with_n_basis(self, grid_main):
         # equilibrium configuration, 10% slack on monotonicity
         errors = [
-            density_error(hbs_coefficients(10, nb), 1.925, grid_main, 10).l1
+            curve_point(hbs_coefficients(10, nb), 1.925, grid_main).l1
             for nb in range(1, 5)
         ]
         for prev, cur in zip(errors, errors[1:]):
@@ -105,12 +111,32 @@ class TestConditionSweep:
 
 def test_energy_curve_with_cache(tmp_path, grid_main):
     a_values = [2.0, 3.0]
-    first = energy_curve(
-        hbs_coefficients(10, 2), a_values, grid_main, 10, str(tmp_path)
+    (first,) = curves(
+        [hbs_coefficients(10, 2)], a_values, grid_main, 10, str(tmp_path)
     )
-    second = energy_curve(
-        hbs_coefficients(10, 2), a_values, grid_main, 10, str(tmp_path)
+    (second,) = curves(
+        [hbs_coefficients(10, 2)], a_values, grid_main, 10, str(tmp_path)
     )
     for p1, p2 in zip(first, second):
         assert p1.e_ref == p2.e_ref
         assert p1.e_basis == p2.e_basis
+
+
+class TestCurves:
+    def test_one_pass_equals_one_pass_per_basis(self, grid_main, l2_obs_nb3):
+        # the FD solve and record a point shares change no basis's numbers
+        bases = [hbs_coefficients(10, 2), l2_obs_nb3, hbs_coefficients(10, 3)]
+        a_values = [1.5, 2.75, 4.0]
+        shared = curves(bases, a_values, grid_main, 10)
+        alone = [curves([R], a_values, grid_main, 10)[0] for R in bases]
+        assert shared == alone
+
+    def test_density_error_zero_for_identical_densities(self, grid_main):
+        rho = np.exp(-grid_main.points**2)
+        assert density_error(rho, rho, grid_main.dx) == (0.0, 0.0, 0.0)
+
+    def test_overcomplete_basis_raises(self, grid_main):
+        with pytest.raises(OvercompletenessError, match="at a=1.5") as info:
+            bases = [hbs_coefficients(10, 2), hbs_coefficients(10, 10)]
+            curves(bases, [1.5], grid_main, 10)
+        assert info.value.a == 1.5

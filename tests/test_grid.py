@@ -33,7 +33,10 @@ class TestBuildGrid:
         assert np.all(np.diff(g.points) > 0)
         np.testing.assert_allclose(g.points, -g.points[::-1], atol=1e-12)
 
-    @pytest.mark.parametrize("x_max,n", [(0.0, 10), (-1.0, 10), (2.0, 2), (2.0, 0)])
+    @pytest.mark.parametrize(
+        "x_max,n",
+        [(0.0, 10), (-1.0, 10), (2.0, 2), (2.0, 0), (np.nan, 10), (np.inf, 10)],
+    )
     def test_invalid_arguments(self, x_max, n):
         with pytest.raises(ValueError):
             build_grid(x_max, n)

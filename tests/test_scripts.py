@@ -31,3 +31,19 @@ def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, cache):
     assert load_script("run_tables").main(argv) == 0
     assert len(calls) == len(reference.default_measure().points)
     assert len(out.read_text().splitlines()) == 1 + 3 * 4
+
+
+def test_sampling_study_one_curve_pass(monkeypatch, capsys):
+    # 5 training configurations, then one solve per curve point for the
+    # HBS start and the three trained bases together
+    calls = []
+    solve = reference.solve_ground_pair
+    monkeypatch.setattr(
+        reference, "solve_ground_pair", lambda *args: calls.append(args) or solve(*args)
+    )
+    module = load_script("sampling_study")
+    assert module.main(["sampling", "--n-points", "399"]) == 0
+    training = sum(len(m.points) for m in module.SPARSE_MEASURES.values())
+    assert len(calls) == training + 50 == 55
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + len(module.SPARSE_MEASURES)

@@ -20,6 +20,7 @@ from . import __version__
 from .criteria import CriterionKind, eval_JA, eval_JE, make_criterion
 from .evaluate import (
     CURVE_A_MAX,
+    CURVE_A_MIN,
     curves,
     default_curve_points,
     overlap_condition_sweep,
@@ -371,6 +372,11 @@ def cmd_report(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     # end the curve where the box still holds the basis tails
     a_end = min(CURVE_A_MAX, grid.x_max - R_MAX)
+    if a_end < CURVE_A_MIN:
+        raise ConfigError(
+            f"report needs x_max >= {CURVE_A_MIN + R_MAX} for its curve from "
+            f"a = {CURVE_A_MIN}, got x_max = {grid.x_max}"
+        )
     a_values = default_curve_points(cfg.curve_points, a_end)
     bases = [doc["R"] for doc in docs]
     per_doc = curves(bases, a_values, grid, cfg.n_funcs, cfg.cache_dir)

@@ -18,6 +18,7 @@ from basisopt.cli import (
     main,
 )
 from basisopt.criteria import eval_JA, eval_JE
+from basisopt.hermite import TailOverflowWarning
 from basisopt.reference import build_offline
 
 SMALL_CONFIG = """\
@@ -164,6 +165,22 @@ class TestConfig:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("configuration error:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("x_max", ["10.0", "16.0"])
+    def test_report_box_below_curve_start_is_config_error(
+        self, tmp_path, capsys, x_max
+    ):
+        # the box fits the measure, but report's curve would end below a = 1.5
+        path = tmp_path / "box.ini"
+        path.write_text(SMALL_CONFIG.replace("[grid]", f"[grid]\nx_max = {x_max}"))
+        assert run(["report", "--hbs", "1"], tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error: report needs x_max >= 16.5")
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
+        # evaluate needs no curve: it runs, warning of the small box
+        with pytest.warns(TailOverflowWarning):
+            assert run(["evaluate", "--hbs", "1"], tmp_path, str(path)) == 0
 
 
 class TestReference:

@@ -81,8 +81,12 @@ _KNOWN_KEYS = {
 
 def load_config(path: str) -> RunConfig:
     """Parse the INI-style run configuration; unknown keys are errors."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).splitlines())  # some messages span lines
+        raise ConfigError(f"malformed config file {path}: {detail}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     cfg = RunConfig()
@@ -116,20 +120,22 @@ def load_config(path: str) -> RunConfig:
         if parser.has_section("measure"):
             cfg = replace(cfg, measure=_parse_measure(parser["measure"]))
         if parser.has_section("optimize"):
-            o = parser["optimize"]
+            o, base = parser["optimize"], cfg.settings
             cfg = replace(
                 cfg,
                 settings=OptimSettings(
-                    grad_tol=o.getfloat("grad_tol", fallback=1e-7),
-                    max_iter=o.getint("max_iter", fallback=500),
-                    lbfgs_memory=o.getint("lbfgs_memory", fallback=10),
+                    grad_tol=o.getfloat("grad_tol", fallback=base.grad_tol),
+                    max_iter=o.getint("max_iter", fallback=base.max_iter),
+                    lbfgs_memory=o.getint("lbfgs_memory", fallback=base.lbfgs_memory),
                 ),
-                random_start=o.getboolean("random_start", fallback=False),
+                random_start=o.getboolean("random_start", fallback=cfg.random_start),
             )
         if parser.has_section("report"):
             cfg = replace(
                 cfg,
-                curve_points=parser["report"].getint("curve_points", fallback=50),
+                curve_points=parser["report"].getint(
+                    "curve_points", fallback=cfg.curve_points
+                ),
             )
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
@@ -140,10 +146,11 @@ def load_config(path: str) -> RunConfig:
 def _parse_measure(section) -> Measure:
     kind = section.get("kind", "uniform")
     if kind == "uniform":
+        default = default_measure()
         return uniform_measure(
-            section.getfloat("a_min", fallback=1.5),
-            section.getfloat("a_max", fallback=5.0),
-            section.getint("count", fallback=10),
+            section.getfloat("a_min", fallback=default.points[0]),
+            section.getfloat("a_max", fallback=default.a_max),
+            section.getint("count", fallback=len(default.points)),
         )
     if kind == "explicit":
         points = tuple(float(v) for v in section["points"].split(","))
@@ -237,11 +244,10 @@ def load_artifact(path: str) -> dict:
     return doc
 
 
-def hbs_artifact(cfg: RunConfig, n_basis: int | None = None) -> dict:
+def hbs_artifact(cfg: RunConfig, n_basis: int) -> dict:
     """Pseudo-artifact for the plain Hermite basis (no optimization)."""
-    nb = cfg.n_basis if n_basis is None else n_basis
-    R = hbs_coefficients(cfg.n_funcs, nb)
-    return {**_artifact_doc(cfg, R, nb, "HBS"), "label": f"HBS_Nb{nb}"}
+    R = hbs_coefficients(cfg.n_funcs, n_basis)
+    return {**_artifact_doc(cfg, R, n_basis, "HBS"), "label": f"HBS_Nb{n_basis}"}
 
 
 def _artifact_label(doc: dict) -> str:
@@ -379,7 +385,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         )
     a_values = default_curve_points(cfg.curve_points, a_end)
     bases = [doc["R"] for doc in docs]
-    per_doc = curves(bases, a_values, grid, cfg.n_funcs, cfg.cache_dir)
+    per_doc = curves(bases, a_values, grid, cfg.n_funcs)
     for doc, curve in zip(docs, per_doc):
         label = _artifact_label(doc)
         write_csv(

@@ -2,9 +2,11 @@
 errors, overlap conditioning sweeps.
 
 `curves` judges bases along the dissociation curve by both measures of the
-paper at once: each curve point takes one FD solve and one offline record,
-shared by every basis, and each basis one reduced solve there, which gives
-its energy error and, through its LCAO density, its density errors.
+paper at once: each curve point takes one FD solve and one offline record
+assembled from it, shared by every basis, and each basis one reduced solve
+there, which gives its energy error and, through its LCAO density, its
+density errors. The offline cache serves the training measure only; a
+curve reads and writes none of it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .galerkin import lcao_density, reduced_ground_pair
 from .grid import Grid
 from .hermite import hermite_functions
-from .reference import FDWorkspace, load_or_build, solve_configuration
+from .reference import FDWorkspace, build_offline_single, solve_configuration
 
 
 @dataclass(frozen=True)
@@ -46,26 +48,20 @@ def default_curve_points(count: int = 50, a_max: float = CURVE_A_MAX) -> np.ndar
     return np.linspace(CURVE_A_MIN, a_max, count)
 
 
-def curves(
-    bases,
-    a_values,
-    grid: Grid,
-    n_funcs: int,
-    cache_dir: str | None = None,
-) -> list[list[CurvePoint]]:
+def curves(bases, a_values, grid: Grid, n_funcs: int) -> list[list[CurvePoint]]:
     """The curve of each coefficient matrix in `bases`: one CurvePoint per a.
 
-    Each a takes one FD solve and one offline record (through the cache when
-    cache_dir is set), shared by every basis; each basis takes one reduced
-    solve per a. Raises OvercompletenessError at the first point where a
-    basis's reduced overlap is ill-conditioned. The grid-size FD buffers are
-    freed when it returns.
+    Each a takes one FD solve and one offline record built from it, shared
+    by every basis; each basis takes one reduced solve per a. The pass
+    makes no cache reads or writes. Raises OvercompletenessError at the
+    first point where a basis's reduced overlap is ill-conditioned. The
+    grid-size FD buffers are freed when it returns.
     """
     out = [[] for _ in bases]
     workspace = FDWorkspace(grid, n_funcs)
     for a in np.asarray(a_values, dtype=float):
         fd = solve_configuration(grid, a, n_funcs, workspace)
-        record, _ = load_or_build(grid, a, n_funcs, cache_dir, fd, workspace)
+        record = build_offline_single(grid, a, n_funcs, fd, workspace)
         rho_ref = (fd.pair.phi1**2 + fd.pair.phi2**2) / grid.dx
         for R, curve in zip(bases, out):
             pair = reduced_ground_pair(record.m_e, record.s_b, R, a=a)
@@ -119,9 +115,12 @@ def density_error(
 def overlap_condition_sweep(n_basis: int, a_values) -> list[tuple[float, float]]:
     """Condition number of the analytic-quadrature HBS overlap per a.
 
-    Uses a dedicated wide fine grid so even a = 0.1 is resolved; the 2x2
-    block structure [[I, Sigma], [Sigma^T, I]] is built from quadrature on
-    that grid.
+    The overlap is [[I, Sigma], [Sigma^T, I]], with Sigma the N_b x N_b
+    overlap of the two centres' Hermite functions, so its eigenvalues are
+    1 +- sigma_i(Sigma) and its condition number is
+    (1 + sigma_max) / (1 - sigma_max), infinite when sigma_max >= 1. Sigma
+    comes from quadrature on a dedicated wide fine grid, so even a = 0.1 is
+    resolved.
     """
     out = []
     quad_grid_x = np.linspace(-30.0, 30.0, 12001)
@@ -129,11 +128,7 @@ def overlap_condition_sweep(n_basis: int, a_values) -> list[tuple[float, float]]
     for a in np.asarray(a_values, dtype=float):
         h_plus = hermite_functions(quad_grid_x - a, n_basis).T.copy()
         h_minus = hermite_functions(quad_grid_x + a, n_basis).T.copy()
-        sigma = dxq * (h_plus.T @ h_minus)
-        overlap = np.block(
-            [[np.eye(n_basis), sigma], [sigma.T, np.eye(n_basis)]]
-        )
-        vals = np.linalg.eigvalsh(overlap)
-        cond = abs(vals[-1] / vals[0]) if vals[0] != 0 else np.inf
+        s_max = np.linalg.norm(dxq * (h_plus.T @ h_minus), 2)
+        cond = (1.0 + s_max) / (1.0 - s_max) if s_max < 1.0 else np.inf
         out.append((float(a), float(cond)))
     return out

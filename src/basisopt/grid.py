@@ -48,11 +48,6 @@ class TridiagOperator:
         self.diag.setflags(write=False)
         self.offdiag.setflags(write=False)
 
-    @property
-    def shape(self):
-        n = self.diag.shape[0]
-        return (n, n)
-
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply the operator to a vector or to each column of a matrix;
         the result goes into `out` (not overlapping v) when given.

@@ -10,7 +10,10 @@ Offline data takes two forms. An OfflineRecord is what the cache stores
 for one configuration, metric-free. An OfflineStack is what the criteria
 read: the (K, 2N, 2N) matrices of one metric for the K configurations of a
 measure, with their a, weight and e_ref vectors. stack_offline is the one
-place that maps a metric to the matrices.
+place that maps a metric to the matrices, and load_or_build_each the one
+path through the cache, which holds the measure's records only: a curve
+point builds its record from the FD solve it makes anyway
+(build_offline_single with `fd`).
 
 A loop over configurations builds through one FDWorkspace, whose grid-size
 buffers hold B, the Hermite recurrence rows then H B, and D B, so no
@@ -343,36 +346,23 @@ def load_cached(
         return None
 
 
-def load_or_build(
-    grid: Grid,
-    a: float,
-    n_funcs: int,
-    cache_dir: str | None = None,
-    fd: SolvedConfiguration | None = None,
-    workspace: FDWorkspace | None = None,
-) -> tuple[OfflineRecord, str]:
-    """The record of one configuration and its status: "cached", "computed"
-    (no entry) or "rebuilt" (an unreadable or foreign entry replaced); a miss
-    builds from `fd` when the caller has solved the configuration already,
-    and through `workspace` when given."""
-    status = "computed"
-    if cache_dir is not None:
-        record = load_cached(cache_dir, grid, a, n_funcs)
-        if record is not None:
-            return record, "cached"
-        if os.path.exists(_cache_path(cache_dir, cache_key(grid, a, n_funcs))):
-            status = "rebuilt"
-    record = build_offline_single(grid, a, n_funcs, fd, workspace)
-    if cache_dir is not None:
-        save_offline_entry(cache_dir, grid, record)
-    return record, status
-
-
 def load_or_build_each(
     grid: Grid, a_values, n_funcs: int, cache_dir: str | None = None
 ):
-    """Yield load_or_build's (record, status) for each a in turn; the
-    misses share one FDWorkspace."""
+    """Yield the record of each configuration in turn with its status:
+    "cached", "computed" (no entry) or "rebuilt" (an unreadable or foreign
+    entry replaced). The misses build through one FDWorkspace."""
     workspace = FDWorkspace(grid, n_funcs)
     for a in a_values:
-        yield load_or_build(grid, a, n_funcs, cache_dir, workspace=workspace)
+        status = "computed"
+        if cache_dir is not None:
+            record = load_cached(cache_dir, grid, a, n_funcs)
+            if record is not None:
+                yield record, "cached"
+                continue
+            if os.path.exists(_cache_path(cache_dir, cache_key(grid, a, n_funcs))):
+                status = "rebuilt"
+        record = build_offline_single(grid, a, n_funcs, workspace=workspace)
+        if cache_dir is not None:
+            save_offline_entry(cache_dir, grid, record)
+        yield record, status

@@ -84,6 +84,11 @@ class TestConfig:
         assert cfg.measure.points == (1.5, 2.25, 3.0)
         assert cfg.grid().x_max == 18.0  # a_max + 15
 
+    def test_empty_sections_keep_the_defaults(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("[measure]\n[optimize]\n[report]\n")
+        assert load_config(str(path)) == RunConfig()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[basis]\nn_funcs = 5\nspline_order = 3\n")
@@ -95,6 +100,42 @@ class TestConfig:
         path.write_text("[plotting]\ndpi = 300\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["reference"],
+            ["optimize"],
+            ["evaluate", "--hbs", "1"],
+            ["report", "--hbs", "1"],
+        ],
+        ids=lambda command: command[0],
+    )
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SMALL_CONFIG.replace("max_iter = 200", "max_iter = 200\nmax_iter = 300"),
+            SMALL_CONFIG + "\n[basis]\nn_funcs = 6\n",
+            "n_points = 699\n" + SMALL_CONFIG,
+            SMALL_CONFIG.replace("kind = JE", "kind = %(foo)s"),
+            SMALL_CONFIG.replace("kind = JE", "kind = \xff"),
+        ],
+        ids=[
+            "duplicate_option",
+            "duplicate_section",
+            "no_section",
+            "interpolation",
+            "not_utf8",
+        ],
+    )
+    def test_malformed_ini_is_config_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "malformed.ini"
+        path.write_text(text, encoding="latin-1")
+        assert run(command, tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error:")
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_missing_file_is_usage_error(self, tmp_path):
         code = main(["--config", str(tmp_path / "nope.ini"), "reference"])
@@ -391,13 +432,17 @@ class TestStartupAndSolves:
         path = tmp_path / "rep.ini"
         path.write_text(SMALL_CONFIG + "\n[report]\ncurve_points = 4\n")
         args = ["report", "--hbs", "1", "--hbs", "2"]
+        # the curve points build their records from these solves: report
+        # neither reads nor writes the offline cache, cold or warm
         assert run(args, tmp_path, str(path)) == 0
         assert len(solves) == 4
-        cold = snapshot(tmp_path / "cache")
+        assert not (tmp_path / "cache").exists()
+        assert run(["reference"], tmp_path, str(path)) == 0
+        warm = snapshot(tmp_path / "cache")
         solves.clear()
         assert run(args, tmp_path, str(path)) == 0
         assert len(solves) == 4
-        assert snapshot(tmp_path / "cache") == cold
+        assert snapshot(tmp_path / "cache") == warm
 
     def test_report_one_reduced_solve_per_basis_and_point(self, tmp_path, monkeypatch):
         # one reduced solve serves a point's energy and its density errors

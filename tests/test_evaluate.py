@@ -109,19 +109,6 @@ class TestConditionSweep:
             assert cond8[float(a)] >= cond2[float(a)] - 1e-9
 
 
-def test_energy_curve_with_cache(tmp_path, grid_main):
-    a_values = [2.0, 3.0]
-    (first,) = curves(
-        [hbs_coefficients(10, 2)], a_values, grid_main, 10, str(tmp_path)
-    )
-    (second,) = curves(
-        [hbs_coefficients(10, 2)], a_values, grid_main, 10, str(tmp_path)
-    )
-    for p1, p2 in zip(first, second):
-        assert p1.e_ref == p2.e_ref
-        assert p1.e_basis == p2.e_basis
-
-
 class TestCurves:
     def test_one_pass_equals_one_pass_per_basis(self, grid_main, l2_obs_nb3):
         # the FD solve and record a point shares change no basis's numbers

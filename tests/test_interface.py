@@ -2,10 +2,13 @@
 
 build_offline(grid, measure, n_funcs, metric) gives one OfflineStack per
 metric; its length is the number of configurations K, and make_criterion
-and the eval_*/grad_* functions take it as it is.
+and the eval_*/grad_* functions take it as it is. The harness's tracer
+times functions by name, so each name it maps a metric to must exist.
 """
 
+import importlib
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -71,3 +74,23 @@ def test_stack_of_cached_records_equals_fresh_build(tmp_path, metric):
         got, expected = getattr(cached, name), getattr(fresh, name)
         assert got.shape == expected.shape and np.array_equal(got, expected), name
     assert cached.weight.tolist() == list(MEASURE.weights)
+
+
+def test_tracer_finds_every_function_it_times(monkeypatch):
+    # a traced name the package no longer defines drops its metric from a
+    # traced benchmark run; the tracer module is read, not changed
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    tracer = importlib.import_module("tracer")
+    traced = tracer.Tracer()
+    traced.install()
+    traced.uninstall()
+    names = {
+        *tracer.CALL_COUNTS.values(),
+        *tracer.SELF_TIMES.values(),
+        tracer.LOAD,
+        tracer.SAVE,
+        tracer.MINIMIZE,
+        tracer.MAKE_CRITERION,
+    }
+    assert names - traced.wrapped == set()

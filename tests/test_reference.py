@@ -16,7 +16,6 @@ from basisopt.reference import (
     cache_key,
     default_measure,
     load_cached,
-    load_or_build,
     load_or_build_each,
     save_offline_entry,
     solve_ground_pair,
@@ -299,25 +298,26 @@ class TestCache:
         ids=["truncated", "garbage", "pickled"],
     )
     def test_corrupt_entry_is_rebuilt(self, tmp_path, grid_main, corrupt):
-        record, status = load_or_build(grid_main, 1.5, 5, str(tmp_path))
+        ((record, status),) = load_or_build_each(grid_main, [1.5], 5, str(tmp_path))
         assert status == "computed"
         (path,) = tmp_path.iterdir()
         corrupt(path)
         assert load_cached(str(tmp_path), grid_main, 1.5, 5) is None
-        rebuilt, status = load_or_build(grid_main, 1.5, 5, str(tmp_path))
+        ((rebuilt, status),) = load_or_build_each(grid_main, [1.5], 5, str(tmp_path))
         assert status == "rebuilt"
         for name in RECORD_FIELDS:
             assert np.array_equal(getattr(rebuilt, name), getattr(record, name))
-        assert load_or_build(grid_main, 1.5, 5, str(tmp_path))[1] == "cached"
+        ((_, status),) = load_or_build_each(grid_main, [1.5], 5, str(tmp_path))
+        assert status == "cached"
         assert os.listdir(tmp_path) == [path.name]  # no temporary file left
 
     def test_foreign_entry_is_rebuilt(self, tmp_path, grid_main):
         # a valid entry of another configuration under this key's name
-        load_or_build(grid_main, 1.6, 5, str(tmp_path))
+        list(load_or_build_each(grid_main, [1.6], 5, str(tmp_path)))
         (other,) = tmp_path.iterdir()
         other.rename(tmp_path / f"offline_{cache_key(grid_main, 1.5, 5)}.npz")
         assert load_cached(str(tmp_path), grid_main, 1.5, 5) is None
-        record, status = load_or_build(grid_main, 1.5, 5, str(tmp_path))
+        ((record, status),) = load_or_build_each(grid_main, [1.5], 5, str(tmp_path))
         assert status == "rebuilt"
         assert record.a == 1.5
         assert load_cached(str(tmp_path), grid_main, 1.5, 5).a == 1.5

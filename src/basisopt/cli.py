@@ -472,6 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.cache:
             cfg = replace(cfg, cache_dir=args.cache)

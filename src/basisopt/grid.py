@@ -15,10 +15,6 @@ import numpy as np
 # default x_max = a_max + R_MAX recovers [-20, 20] for a_max = 5.
 R_MAX = 15.0
 
-# Entries per block of TridiagOperator.matvec's product temporary (128 KiB):
-# it stays in cache and far below a grid-size array.
-_BLOCK = 16384
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -48,35 +44,14 @@ class TridiagOperator:
         self.diag.setflags(write=False)
         self.offdiag.setflags(write=False)
 
-    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply the operator to a vector or to each column of a matrix;
-        the result goes into `out` (not overlapping v) when given.
-
-        Rows go in blocks, so the one temporary is a block of products of
-        at most _BLOCK entries; every entry is rounded as d v + o v_next +
-        o v_prev, in that order, whatever the block size.
-        """
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Apply the operator to a vector or to each column of a matrix."""
         v = np.asarray(v)
-        if out is None:
-            out = np.empty_like(v, dtype=np.result_type(self.diag, v))
         bcast = (-1,) + (1,) * (v.ndim - 1)
         d, o = self.diag.reshape(bcast), self.offdiag.reshape(bcast)
-        if o.size and (o == o[0]).all():
-            # a constant off-diagonal (every FD operator here) as stride-0
-            # rows: numpy multiplies by it as by a scalar, without a buffer
-            o = np.broadcast_to(o[:1], o.shape)
-        n = v.shape[0]
-        step = max(1, _BLOCK // max(1, v[0].size))
-        tmp = np.empty((min(step, n), *v.shape[1:]))
-        for s in range(0, n, step):
-            e = min(s + step, n)
-            np.multiply(d[s:e], v[s:e], out=out[s:e])
-            up = min(e, n - 1)  # rows s..up-1 have a next neighbour
-            np.multiply(o[s:up], v[s + 1 : up + 1], out=tmp[: up - s])
-            out[s:up] += tmp[: up - s]
-            lo = max(s, 1)  # rows lo..e-1 have a previous neighbour
-            np.multiply(o[lo - 1 : e - 1], v[lo - 1 : e - 1], out=tmp[: e - lo])
-            out[lo:e] += tmp[: e - lo]
+        out = d * v
+        out[:-1] += o * v[1:]
+        out[1:] += o * v[:-1]
         return out
 
     def to_dense(self) -> np.ndarray:

@@ -32,8 +32,10 @@ class OptimSettings:
     lbfgs_memory: int = 10
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < np.inf:  # NaN fails the comparison too
+            raise ValueError(
+                f"grad_tol must be positive and finite, got {self.grad_tol}"
+            )
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.lbfgs_memory < 0:

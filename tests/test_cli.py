@@ -196,8 +196,11 @@ class TestConfig:
         [
             (["optimize"], "lbfgs_memory = -1\n"),
             (["report", "--hbs", "1"], "\n[report]\ncurve_points = -1\n"),
+            (["optimize"], "grad_tol = nan\n"),
+            (["optimize"], "grad_tol = inf\n"),
+            (["--seed", "-1", "optimize"], "random_start = true\n"),
         ],
-        ids=["lbfgs_memory", "curve_points"],
+        ids=["lbfgs_memory", "curve_points", "grad_tol_nan", "grad_tol_inf", "seed"],
     )
     def test_negative_count_is_config_error(self, tmp_path, capsys, command, extra):
         path = tmp_path / "neg.ini"
@@ -206,6 +209,7 @@ class TestConfig:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("configuration error:")
         assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("x_max", ["10.0", "16.0"])
     def test_report_box_below_curve_start_is_config_error(

@@ -94,12 +94,21 @@ class TestDensityError:
 
 class TestConditionSweep:
     def test_monotone_and_blowup(self):
-        a_values = np.linspace(0.1, 5.0, 25)
-        sweep = overlap_condition_sweep(4, a_values)
-        conds = [c for _, c in sweep]
-        for prev, cur in zip(conds, conds[1:]):
-            assert cur <= prev * (1 + 1e-10)
-        assert conds[0] / conds[-1] > 1e4
+        # the second input is report's sweep, which reaches cond ~ 1e18
+        for a_values in (np.linspace(0.1, 5.0, 25), np.geomspace(0.1, 5, 40)):
+            sweep = overlap_condition_sweep(4, a_values)
+            conds = [c for _, c in sweep]
+            for prev, cur in zip(conds, conds[1:]):
+                assert cur <= prev * (1 + 1e-10)
+            assert conds[0] / conds[-1] > 1e4
+
+    def test_one_function_per_centre_closed_form(self):
+        # N_b = 1: Sigma = exp(-a^2), so cond = (1 + Sigma) / (1 - Sigma)
+        # = (2 - t) / t with t = 1 - exp(-a^2), down to a near-singular pair
+        a_values = np.array([1e-6, 1e-5, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0])
+        t = -np.expm1(-(a_values**2))
+        conds = [c for _, c in overlap_condition_sweep(1, a_values)]
+        np.testing.assert_allclose(conds, (2 - t) / t, rtol=1e-9)
 
     def test_larger_basis_blows_up_sooner(self):
         a_values = np.linspace(0.5, 5.0, 10)

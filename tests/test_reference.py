@@ -171,8 +171,9 @@ class TestBuildOffline:
             assert p10.mu2 <= p5.mu2 + 1e-12
 
     def test_metrics_match_direct_projections(self, grid_main):
-        # L2 keeps the direct expressions bit for bit; H1, assembled from
-        # the factored Laplacian, matches the H1 operator applied to B
+        # m_a and s_a of L2 and s_b keep the direct expressions bit for bit;
+        # H1 and m_e, assembled from the factored Laplacian, match the
+        # operators applied to B
         a, n = 2.3, 6
         H = fd_hamiltonian(grid_main, a)
         pair = solve_ground_pair(H, grid_main)
@@ -195,11 +196,37 @@ class TestBuildOffline:
             assert data.e_ref[0] == pair.energy
             for name, expected in zip(OFFLINE_FIELDS, direct):
                 got = getattr(data, name)[0]
-                if metric == "L2" or name in ("m_e", "s_b"):
+                scale = np.abs(expected).max()
+                if name == "m_e":
+                    assert np.abs(got - expected).max() <= 1e-13 * scale
+                elif metric == "L2" or name == "s_b":
                     assert np.array_equal(got, expected), (metric, name)
                 else:
-                    scale = np.abs(expected).max()
                     assert np.abs(got - expected).max() <= 1e-12 * scale, name
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="long double is no wider than double here",
+    )
+    @pytest.mark.parametrize("a", [2.3, 5.0])
+    def test_m_e_matches_long_double_product(self, grid_main, a):
+        # B^T H_FD B in long double, with H_FD applied to B as a tridiagonal
+        # matrix; m_e from B^T V B and the factored Laplacian avoids the
+        # cancellation of the 1/dx^2 terms that product makes in double
+        n = 10
+        B = assemble_dimer(grid_main, a, n)
+        ld = np.longdouble
+        x, a_ld = grid_main.points.astype(ld), ld(a)
+        V = (x - a_ld) ** 2 * (x + a_ld) ** 2 / (8 * a_ld**2 + 4)
+        inv_dx2 = 1 / ld(grid_main.dx) ** 2
+        B_ld = B.astype(ld)
+        HB = (inv_dx2 + V)[:, None] * B_ld
+        HB[:-1] -= inv_dx2 / 2 * B_ld[1:]
+        HB[1:] -= inv_dx2 / 2 * B_ld[:-1]
+        exact = B_ld.T @ HB
+        exact = (exact + exact.T) / 2
+        m_e = build_offline_single(grid_main, a, n).m_e
+        assert np.abs(m_e - exact).max() <= 3e-15 * np.abs(m_e).max()
 
     def test_unknown_metric_rejected(self, grid_main):
         record = build_offline_single(grid_main, 2.0, 3)

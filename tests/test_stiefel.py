@@ -122,7 +122,8 @@ class TestMinimize:
         assert report.iterations == 2
 
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            OptimSettings(grad_tol=0.0)
+        for grad_tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                OptimSettings(grad_tol=grad_tol)
         with pytest.raises(ValueError):
             OptimSettings(max_iter=0)

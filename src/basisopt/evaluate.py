@@ -127,14 +127,14 @@ def overlap_condition_sweep(n_basis: int, a_values) -> list[tuple[float, float]]
     quad_grid_x = np.linspace(-30.0, 30.0, 12001)
     dxq = quad_grid_x[1] - quad_grid_x[0]
     for a in np.asarray(a_values, dtype=float):
-        # the 2 N_b x 12001 transpose of the columns: the same singular values
         rows = np.vstack(
             [
                 hermite_functions(quad_grid_x - a, n_basis),
                 hermite_functions(quad_grid_x + a, n_basis),
             ]
         )
-        s = np.linalg.svd(np.sqrt(dxq) * rows, compute_uv=False)
+        # of the 12001 x 2 N_b columns: faster than of their transpose
+        s = np.linalg.svd(np.sqrt(dxq) * rows.T, compute_uv=False)
         cond = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf
         out.append((float(a), float(cond)))
     return out

@@ -3,7 +3,9 @@
 For each criterion (projection in the L2 or H1 metric, weighted energy
 error) this prints the value at N_b = 1..4 for the plain Hermite basis
 and for the optimized basis started from it, together with the L-BFGS
-iteration counts.
+iteration counts and, for a run that did not converge, whether a
+line-search stall or max_iter ended it. The CSV also records each run's
+stalled flag, final gradient norm and value+gradient evaluations.
 """
 
 import argparse
@@ -56,12 +58,15 @@ def main(argv=None):
                     "optimized": result.final_value,
                     "iterations": result.iterations,
                     "converged": result.converged,
+                    "stalled": result.stalled,
+                    "grad_norm": result.grad_norm,
+                    "evaluations": result.evaluations,
                 }
             )
             print(
                 f"{kind.value:5s} N_b={n_basis}  HBS={baseline: .6e}  "
                 f"OBS={result.final_value: .6e}  "
-                f"iters={result.iterations}{'' if result.converged else ' (not converged)'}"
+                f"iters={result.iterations}{_stop_note(result)}"
             )
 
     if args.csv:
@@ -71,6 +76,14 @@ def main(argv=None):
             writer.writerows(rows)
         print(f"wrote {args.csv}")
     return 0
+
+
+def _stop_note(result) -> str:
+    """Why an unconverged run ended: a line-search stall or max_iter."""
+    if result.converged:
+        return ""
+    reason = "line search stalled" if result.stalled else "max_iter reached"
+    return f" (not converged: {reason}, grad norm {result.grad_norm:.1e})"
 
 
 if __name__ == "__main__":

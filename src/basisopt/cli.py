@@ -306,6 +306,7 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
         os.path.join(cfg.out_dir, f"optim_{name}.json"),
         {
             "iterations": report.iterations,
+            "evaluations": report.evaluations,
             "converged": report.converged,
             "stalled": report.stalled,
             "grad_norm": report.grad_norm,

@@ -337,19 +337,26 @@ def load_cached(
     cache_dir: str, grid: Grid, a: float, n_funcs: int
 ) -> OfflineRecord | None:
     """Load a cached record, or None when it is absent, unreadable or
-    foreign (its metadata names another schema, key, grid, a or n_funcs)."""
+    foreign: its metadata names another schema, key, grid, a or n_funcs,
+    or its arrays are not finite or not of the shapes n_funcs gives."""
     meta = _entry_meta(grid, a, n_funcs)
     path = _cache_path(cache_dir, meta["key"])
     if not os.path.exists(path):
         return None
+    n = 2 * n_funcs
+    shapes = {"e_ref": (), "g": (2, n), "g_lap": (2, n)}
+    shapes.update({name: (n, n) for name in ("s_b", "m_e", "s_lap")})
     try:
         with np.load(path) as npz:
             if json.loads(bytes(npz["meta"]).decode()) != meta:
                 return None
-            arrays = [npz[name] for name in _RECORD_ARRAYS]
-            return OfflineRecord(meta["a"], float(npz["e_ref"]), *arrays)
+            arrays = {name: npz[name] for name in shapes}
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
+    for name, x in arrays.items():
+        if x.dtype != np.float64 or x.shape != shapes[name] or not np.isfinite(x).all():
+            return None
+    return OfflineRecord(meta["a"], float(arrays.pop("e_ref")), **arrays)
 
 
 def load_or_build_each(

@@ -2,14 +2,19 @@
 
 Geometry: tangent projection G - R sym(R^T G), QR retraction with
 sign-fixed R factor, vector transport by projection onto the new tangent
-space. The two-loop recursion runs on transported tangent vectors;
-curvature pairs failing the positivity check are dropped.
+space. After each accepted step one `tangent_project` call on a stacked
+(3 + 2m, N, N_b) array projects the new gradient, the step, the old
+gradient and the m stored curvature pairs at once; each slice of the
+result is bit for bit the projection of that matrix alone. The two-loop
+recursion runs on transported tangent vectors; curvature pairs failing
+the positivity check are dropped.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -49,6 +54,7 @@ class OptimReport:
     converged: bool
     trajectory: np.ndarray = field(repr=False)  # criterion value per iterate
     grad_norm: float  # final tangent-projected gradient norm
+    evaluations: int  # value+gradient calls: the initial one and every trial
     stalled: bool = False  # line search failed before convergence
 
     @property
@@ -57,16 +63,23 @@ class OptimReport:
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def tangent_project(R: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Project a Euclidean gradient onto the tangent space at R."""
+    """Project a Euclidean gradient, or a (k, N, N_b) stack of them, onto
+    the tangent space at R."""
     return G - R @ sym(R.T @ G)
 
 
 def retract(R: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Thin-QR retraction of R + T with positive R-factor diagonal."""
+    n, n_basis = R.shape
+    if n_basis > n:
+        raise ValueError(
+            f"St(n, n_basis) needs n_basis <= n, got n={n}, n_basis={n_basis}"
+        )
     Q, Rf = np.linalg.qr(R + T)
     d = np.diagonal(Rf)
     if np.any(np.abs(d) < 1e-14 * max(1.0, np.abs(d).max(initial=0.0))):
@@ -87,10 +100,12 @@ def minimize(
     """L-BFGS with backtracking Armijo line search on the Stiefel manifold.
 
     `value_and_grad(R)` must return the criterion value and its Euclidean
-    gradient; projection onto the tangent space happens here.
+    gradient; projection onto the tangent space happens here. An R0 with
+    more columns than rows raises ValueError.
     """
     R = retract(R0, np.zeros_like(R0))  # guard against slightly infeasible R0
     f, G = value_and_grad(R)
+    evaluations = 1
     g = tangent_project(R, G)
     trajectory = [f]
     history: deque = deque(maxlen=settings.lbfgs_memory)
@@ -100,12 +115,13 @@ def minimize(
 
     while g_norm > settings.grad_tol and it < settings.max_iter:
         direction = -_two_loop(g, history)
-        if float(np.sum(direction * g)) > -1e-14 * g_norm * np.linalg.norm(direction):
+        slope = _inner(direction, g)
+        if slope > -1e-14 * g_norm * np.linalg.norm(direction):
             direction = -g  # not a descent direction; restart from steepest
             history.clear()
+            slope = _inner(direction, g)
 
         step = INITIAL_STEP
-        slope = float(np.sum(direction * g))
         R_new = f_new = None
         for _ in range(MAX_LINE_SEARCH):
             try:
@@ -114,6 +130,7 @@ def minimize(
                 step *= 0.5
                 continue
             f_cand, G_cand = value_and_grad(candidate)
+            evaluations += 1
             if f_cand <= f + ARMIJO_C1 * step * slope:
                 R_new, f_new = candidate, f_cand
                 break
@@ -122,18 +139,16 @@ def minimize(
             stalled = True
             break
 
-        g_new = tangent_project(R_new, G_cand)
-        # transport stored pairs and the step to the new tangent space
-        s = tangent_project(R_new, step * direction)
-        y = g_new - tangent_project(R_new, g)
+        # project the new gradient and transport the step, the old gradient
+        # and the stored pairs to the new tangent space, all in one call
+        stack = [G_cand, step * direction, g, *chain.from_iterable(history)]
+        projected = tangent_project(R_new, np.stack(stack))
+        g_new, s = projected[0], projected[1]
+        y = g_new - projected[2]
         history = deque(
-            (
-                (tangent_project(R_new, si), tangent_project(R_new, yi))
-                for si, yi in history
-            ),
-            maxlen=settings.lbfgs_memory,
+            zip(projected[3::2], projected[4::2]), maxlen=settings.lbfgs_memory
         )
-        if float(np.sum(s * y)) > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
+        if _inner(s, y) > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
             history.append((s, y))
 
         R, f, g = R_new, f_new, g_new
@@ -147,8 +162,14 @@ def minimize(
         converged=bool(g_norm <= settings.grad_tol),
         trajectory=np.asarray(trajectory),
         grad_norm=float(g_norm),
+        evaluations=evaluations,
         stalled=stalled,
     )
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius inner product: np.sum's pairwise sum without its wrapper."""
+    return float((a * b).sum())
 
 
 def _two_loop(g: np.ndarray, history) -> np.ndarray:
@@ -156,15 +177,15 @@ def _two_loop(g: np.ndarray, history) -> np.ndarray:
     q = g.copy()
     alphas = []
     for s, y in reversed(history):
-        rho = 1.0 / float(np.sum(y * s))
-        alpha = rho * float(np.sum(s * q))
+        rho = 1.0 / _inner(y, s)
+        alpha = rho * _inner(s, q)
         q -= alpha * y
         alphas.append((rho, alpha, s, y))
     if history:
         s_last, y_last = history[-1]
-        gamma = float(np.sum(s_last * y_last)) / float(np.sum(y_last * y_last))
+        gamma = _inner(s_last, y_last) / _inner(y_last, y_last)
         q *= gamma
     for rho, alpha, s, y in reversed(alphas):
-        beta = rho * float(np.sum(y * q))
+        beta = rho * _inner(y, q)
         q += (alpha - beta) * s
     return q

@@ -284,6 +284,12 @@ class TestOptimize:
         assert artifact["schema_version"] == 1
         assert artifact["converged"] is True
 
+    def test_report_counts_evaluations(self, tmp_path, small_config):
+        assert run(["optimize"], tmp_path, small_config) == 0
+        with open(tmp_path / "out" / "optim_JE_Nb1.json") as fh:
+            report = json.load(fh)
+        assert report["evaluations"] >= report["iterations"] + 1
+
     def test_random_start_deterministic(self, tmp_path, small_config):
         values = []
         for _ in range(2):

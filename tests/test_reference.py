@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,6 +338,26 @@ class TestCache:
         ((_, status),) = load_or_build_each(grid_main, [1.5], 5, str(tmp_path))
         assert status == "cached"
         assert os.listdir(tmp_path) == [path.name]  # no temporary file left
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda r: replace(r, s_b=np.where(np.eye(len(r.s_b)) > 0, np.nan, r.s_b)),
+            lambda r: replace(r, e_ref=np.inf),
+            lambda r: replace(r, m_e=r.m_e[:-1]),
+        ],
+        ids=["nan_s_b", "inf_e_ref", "short_m_e"],
+    )
+    def test_non_finite_or_misshapen_entry_is_rebuilt(self, tmp_path, grid_main, spoil):
+        # valid metadata does not make the arrays usable
+        record = build_offline_single(grid_main, 1.5, 5)
+        save_offline_entry(str(tmp_path), grid_main, spoil(record))
+        assert load_cached(str(tmp_path), grid_main, 1.5, 5) is None
+        ((rebuilt, status),) = load_or_build_each(grid_main, [1.5], 5, str(tmp_path))
+        assert status == "rebuilt"
+        for name in RECORD_FIELDS:
+            assert np.array_equal(getattr(rebuilt, name), getattr(record, name))
+        assert load_cached(str(tmp_path), grid_main, 1.5, 5) is not None
 
     def test_foreign_entry_is_rebuilt(self, tmp_path, grid_main):
         # a valid entry of another configuration under this key's name

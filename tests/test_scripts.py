@@ -1,5 +1,7 @@
+import csv
 import importlib.util
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +32,28 @@ def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, cache):
         argv += ["--cache", str(tmp_path / "cache")]
     assert load_script("run_tables").main(argv) == 0
     assert len(calls) == len(reference.default_measure().points)
-    assert len(out.read_text().splitlines()) == 1 + 3 * 4
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 4
+    for row in rows:
+        assert row["stalled"] in ("True", "False")
+        assert float(row["grad_norm"]) >= 0.0
+        assert int(row["evaluations"]) >= int(row["iterations"]) + 1
+        if row["converged"] == "True":
+            assert float(row["grad_norm"]) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "converged, stalled, note",
+    [
+        (True, False, ""),
+        (False, True, " (not converged: line search stalled, grad norm 2.0e-05)"),
+        (False, False, " (not converged: max_iter reached, grad norm 2.0e-05)"),
+    ],
+)
+def test_run_tables_names_what_ended_a_run(converged, stalled, note):
+    result = SimpleNamespace(converged=converged, stalled=stalled, grad_norm=2e-5)
+    assert load_script("run_tables")._stop_note(result) == note
 
 
 def test_sampling_study_one_curve_pass(monkeypatch, capsys):

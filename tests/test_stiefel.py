@@ -1,7 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from basisopt import stiefel
 from basisopt.criteria import CriterionKind, make_criterion
 from basisopt.galerkin import hbs_coefficients
 from basisopt.stiefel import (
@@ -41,6 +44,15 @@ class TestTangentProject:
         T = tangent_project(R, G)
         np.testing.assert_allclose(tangent_project(R, T), T, atol=1e-12)
 
+    @pytest.mark.parametrize("n_basis", [1, 3, 7], ids=["Nb=1", "Nb=3", "Nb=N"])
+    def test_stack_equals_each_matrix_bit_for_bit(self, rng, n_basis):
+        # N_b = 1 takes numpy's matrix-vector BLAS path; the optimizer's one
+        # stacked transport relies on every slice matching exactly
+        R = random_stiefel(rng, 7, n_basis)
+        G = rng.standard_normal((5, 7, n_basis))
+        each = np.stack([tangent_project(R, G[i].copy()) for i in range(len(G))])
+        assert np.array_equal(tangent_project(R, G), each)
+
 
 class TestRetract:
     def test_zero_step(self, rng):
@@ -64,6 +76,12 @@ class TestRetract:
         # O(t^2) error: two orders of magnitude per decade in t
         assert errors[1e-3] < 1e-5
         assert errors[1e-2] / errors[1e-3] == pytest.approx(100.0, rel=0.3)
+
+    def test_more_columns_than_rows(self, rng):
+        with pytest.raises(ValueError, match="n=3, n_basis=5"):
+            random_stiefel(rng, 3, 5)
+        with pytest.raises(ValueError, match="n=3, n_basis=5"):
+            minimize(lambda R: (0.0, np.zeros_like(R)), np.eye(3, 5))
 
     def test_rank_deficiency(self, rng):
         R = random_stiefel(rng, 5, 2)
@@ -127,3 +145,98 @@ class TestMinimize:
                 OptimSettings(grad_tol=grad_tol)
         with pytest.raises(ValueError):
             OptimSettings(max_iter=0)
+
+    def test_evaluations_count_every_call(self, offline_l2):
+        calls = []
+        fun = make_criterion(CriterionKind.JE, offline_l2)
+        report = minimize(lambda R: calls.append(R) or fun(R), hbs_coefficients(10, 3))
+        assert report.evaluations == len(calls)
+        assert report.evaluations >= report.iterations + 1
+
+
+def per_pair_minimize(value_and_grad, R0, settings):
+    """The optimizer with one projection per matrix and np.sum inner
+    products, as it was before the stacked transport: the oracle that
+    `minimize` must match bit for bit."""
+    R = retract(R0, np.zeros_like(R0))
+    f, G = value_and_grad(R)
+    g = tangent_project(R, G)
+    trajectory = [f]
+    history = deque(maxlen=settings.lbfgs_memory)
+    g_norm = np.linalg.norm(g)
+    stalled = False
+    it = 0
+    while g_norm > settings.grad_tol and it < settings.max_iter:
+        direction = -per_pair_two_loop(g, history)
+        if float(np.sum(direction * g)) > -1e-14 * g_norm * np.linalg.norm(direction):
+            direction = -g
+            history.clear()
+        step = stiefel.INITIAL_STEP
+        slope = float(np.sum(direction * g))
+        R_new = f_new = None
+        for _ in range(stiefel.MAX_LINE_SEARCH):
+            try:
+                candidate = retract(R, step * direction)
+            except RetractionError:
+                step *= 0.5
+                continue
+            f_cand, G_cand = value_and_grad(candidate)
+            if f_cand <= f + stiefel.ARMIJO_C1 * step * slope:
+                R_new, f_new = candidate, f_cand
+                break
+            step *= 0.5
+        if R_new is None:
+            stalled = True
+            break
+        g_new = tangent_project(R_new, G_cand)
+        s = tangent_project(R_new, step * direction)
+        y = g_new - tangent_project(R_new, g)
+        history = deque(
+            (
+                (tangent_project(R_new, si), tangent_project(R_new, yi))
+                for si, yi in history
+            ),
+            maxlen=settings.lbfgs_memory,
+        )
+        if float(np.sum(s * y)) > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
+            history.append((s, y))
+        R, f, g = R_new, f_new, g_new
+        g_norm = np.linalg.norm(g)
+        trajectory.append(f)
+        it += 1
+    return R, np.asarray(trajectory), it, bool(g_norm <= settings.grad_tol), stalled
+
+
+def per_pair_two_loop(g, history):
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(history):
+        rho = 1.0 / float(np.sum(y * s))
+        alpha = rho * float(np.sum(s * q))
+        q -= alpha * y
+        alphas.append((rho, alpha, s, y))
+    if history:
+        s_last, y_last = history[-1]
+        gamma = float(np.sum(s_last * y_last)) / float(np.sum(y_last * y_last))
+        q *= gamma
+    for rho, alpha, s, y in reversed(alphas):
+        beta = rho * float(np.sum(y * q))
+        q += (alpha - beta) * s
+    return q
+
+
+@pytest.mark.parametrize("memory", [0, 10])
+@pytest.mark.parametrize(
+    "kind, n_basis", [(CriterionKind.JA_L2, 2), (CriterionKind.JE, 3)]
+)
+def test_stacked_transport_matches_per_pair_oracle(offline_l2, kind, n_basis, memory):
+    fun = make_criterion(kind, offline_l2)
+    settings = OptimSettings(lbfgs_memory=memory)
+    report = minimize(fun, hbs_coefficients(10, n_basis), settings)
+    R, trajectory, iterations, converged, stalled = per_pair_minimize(
+        fun, hbs_coefficients(10, n_basis), settings
+    )
+    assert np.array_equal(report.R_opt, R)
+    assert np.array_equal(report.trajectory, trajectory)
+    flags = (report.iterations, report.converged, report.stalled)
+    assert flags == (iterations, converged, stalled)

@@ -82,8 +82,7 @@ def _stop_note(result) -> str:
     """Why an unconverged run ended: a line-search stall or max_iter."""
     if result.converged:
         return ""
-    reason = "line search stalled" if result.stalled else "max_iter reached"
-    return f" (not converged: {reason}, grad norm {result.grad_norm:.1e})"
+    return f" (not converged: {result.stop_reason}, grad norm {result.grad_norm:.1e})"
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ def study_sampling(grid, cache):
     for (label, result), mse in zip(results.items(), mses):
         print(
             f"{label:30s} MSE={mse:.3e}  gain={mse_hbs / mse:8.1f}x  "
-            f"iters={result.iterations}"
+            f"iters={result.iterations} ({result.stop_reason})"
         )
 
 
@@ -59,7 +59,10 @@ def study_restarts(grid, cache, n_starts):
         rng = np.random.default_rng(seed)
         result = minimize(fun, random_stiefel(rng, 10, 3))
         values.append(result.final_value)
-        print(f"seed={seed}  value={result.final_value:.6e}  iters={result.iterations}")
+        print(
+            f"seed={seed}  value={result.final_value:.6e}  "
+            f"iters={result.iterations} ({result.stop_reason})"
+        )
     print(f"spread over {n_starts} starts: {max(values) - min(values):.2e}")
 
 
@@ -73,7 +76,7 @@ def study_pool(grid, cache):
         )
         print(
             f"pool N={n_funcs:2d}  optimized J_E(N_b=4)={result.final_value:.4e}  "
-            f"iters={result.iterations}{'' if result.converged else ' (not converged)'}"
+            f"iters={result.iterations} ({result.stop_reason})"
         )
 
 

@@ -69,13 +69,28 @@ class RunConfig:
         return build_grid(x_max, self.n_points)
 
 
-_KNOWN_KEYS = {
-    "grid": {"x_max", "n_points"},
-    "basis": {"n_funcs", "n_basis"},
-    "criterion": {"kind"},
-    "measure": {"kind", "a_min", "a_max", "count", "points", "weights"},
-    "optimize": {"grad_tol", "max_iter", "lbfgs_memory", "random_start"},
-    "report": {"curve_points"},
+def _boolean(text: str) -> bool:
+    try:  # the words configparser takes: 1/yes/true/on, 0/no/false/off
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+# [section] key -> (field, reader): the key sets the OptimSettings field of
+# that name if there is one, else the RunConfig field. _parse_measure reads
+# the [measure] keys.
+_KEYS = {
+    "grid": {"x_max": ("x_max", float), "n_points": ("n_points", int)},
+    "basis": {"n_funcs": ("n_funcs", int), "n_basis": ("n_basis", int)},
+    "criterion": {"kind": ("criterion", CriterionKind)},
+    "measure": dict.fromkeys(("kind", "a_min", "a_max", "count", "points", "weights")),
+    "optimize": {
+        "grad_tol": ("grad_tol", float),
+        "max_iter": ("max_iter", int),
+        "lbfgs_memory": ("lbfgs_memory", int),
+        "random_start": ("random_start", _boolean),
+    },
+    "report": {"curve_points": ("curve_points", int)},
 }
 
 
@@ -89,55 +104,24 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config file {path}: {detail}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    cfg = RunConfig()
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown config section [{name}]")
+        unknown = set(parser[name]) - _KEYS[name].keys()
         if unknown:
-            raise ConfigError(
-                f"unknown keys in [{section}]: {', '.join(sorted(unknown))}"
-            )
+            raise ConfigError(f"unknown keys in [{name}]: {', '.join(sorted(unknown))}")
+    run, settings = {}, {}
     try:
-        if parser.has_section("grid"):
-            g = parser["grid"]
-            cfg = replace(
-                cfg,
-                x_max=g.getfloat("x_max", fallback=None),
-                n_points=g.getint("n_points", fallback=cfg.n_points),
-            )
-        if parser.has_section("basis"):
-            b = parser["basis"]
-            cfg = replace(
-                cfg,
-                n_funcs=b.getint("n_funcs", fallback=cfg.n_funcs),
-                n_basis=b.getint("n_basis", fallback=cfg.n_basis),
-            )
-        if parser.has_section("criterion"):
-            cfg = replace(
-                cfg, criterion=CriterionKind(parser["criterion"]["kind"])
-            )
-        if parser.has_section("measure"):
-            cfg = replace(cfg, measure=_parse_measure(parser["measure"]))
-        if parser.has_section("optimize"):
-            o, base = parser["optimize"], cfg.settings
-            cfg = replace(
-                cfg,
-                settings=OptimSettings(
-                    grad_tol=o.getfloat("grad_tol", fallback=base.grad_tol),
-                    max_iter=o.getint("max_iter", fallback=base.max_iter),
-                    lbfgs_memory=o.getint("lbfgs_memory", fallback=base.lbfgs_memory),
-                ),
-                random_start=o.getboolean("random_start", fallback=cfg.random_start),
-            )
-        if parser.has_section("report"):
-            cfg = replace(
-                cfg,
-                curve_points=parser["report"].getint(
-                    "curve_points", fallback=cfg.curve_points
-                ),
-            )
-    except (ValueError, KeyError) as exc:
+        for name in parser.sections():
+            if name == "measure":
+                run["measure"] = _parse_measure(parser[name])
+                continue
+            for key, text in parser[name].items():
+                field_name, read_value = _KEYS[name][key]
+                optim = field_name in OptimSettings.__dataclass_fields__
+                (settings if optim else run)[field_name] = read_value(text)
+        cfg = RunConfig(**run, settings=OptimSettings(**settings))
+    except ValueError as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     _validate(cfg)
     return cfg
@@ -153,6 +137,8 @@ def _parse_measure(section) -> Measure:
             section.getint("count", fallback=len(default.points)),
         )
     if kind == "explicit":
+        if "points" not in section:
+            raise ConfigError("[measure] kind = explicit needs points")
         points = tuple(float(v) for v in section["points"].split(","))
         if "weights" in section:
             weights = tuple(float(v) for v in section["weights"].split(","))
@@ -187,22 +173,6 @@ def _artifact_grid(cfg: RunConfig) -> dict:
     return {"x_max": cfg.grid().x_max, "n_points": cfg.n_points}
 
 
-def _artifact_doc(cfg: RunConfig, R, n_basis: int, criterion: str) -> dict:
-    return {
-        "schema_version": ARTIFACT_SCHEMA,
-        "tool_version": __version__,
-        "R": R,
-        "n_funcs": cfg.n_funcs,
-        "n_basis": n_basis,
-        "criterion": criterion,
-        "grid": _artifact_grid(cfg),
-        "measure": {
-            "points": list(cfg.measure.points),
-            "weights": list(cfg.measure.weights),
-        },
-    }
-
-
 def _write_json(path: str, doc: dict) -> None:
     """Write doc atomically: a failed write leaves the previous file."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -219,7 +189,17 @@ def _write_json(path: str, doc: dict) -> None:
 
 def save_artifact(path: str, R: np.ndarray, cfg: RunConfig, report) -> None:
     doc = {
-        **_artifact_doc(cfg, R.tolist(), cfg.n_basis, cfg.criterion.value),
+        "schema_version": ARTIFACT_SCHEMA,
+        "tool_version": __version__,
+        "R": R.tolist(),
+        "n_funcs": cfg.n_funcs,
+        "n_basis": cfg.n_basis,
+        "criterion": cfg.criterion.value,
+        "grid": _artifact_grid(cfg),
+        "measure": {
+            "points": list(cfg.measure.points),
+            "weights": list(cfg.measure.weights),
+        },
         "final_value": report.final_value,
         "iterations": report.iterations,
         "converged": report.converged,
@@ -242,16 +222,6 @@ def load_artifact(path: str) -> dict:
     if not {"n_funcs", "n_basis", "criterion", "grid"} <= doc.keys():
         raise ConfigError(f"artifact {path} lacks n_funcs, n_basis, criterion or grid")
     return doc
-
-
-def hbs_artifact(cfg: RunConfig, n_basis: int) -> dict:
-    """Pseudo-artifact for the plain Hermite basis (no optimization)."""
-    R = hbs_coefficients(cfg.n_funcs, n_basis)
-    return {**_artifact_doc(cfg, R, n_basis, "HBS"), "label": f"HBS_Nb{n_basis}"}
-
-
-def _artifact_label(doc: dict) -> str:
-    return doc.get("label") or f"{doc['criterion']}_Nb{doc['n_basis']}"
 
 
 # -- CSV helpers ---------------------------------------------------------------
@@ -323,59 +293,54 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _gather_artifacts(cfg: RunConfig, args) -> list[dict]:
-    if not all(1 <= nb <= cfg.n_funcs for nb in args.hbs or []):
+def _bases(cfg: RunConfig, args) -> list[tuple[str, np.ndarray]]:
+    """(label, R) of each basis named on the command line: the artifact
+    files, then the plain Hermite basis (HBS) of each --hbs size."""
+    hbs = args.hbs or []
+    if not all(1 <= nb <= cfg.n_funcs for nb in hbs):
         raise ConfigError(f"--hbs needs 1 <= N_B <= n_funcs = {cfg.n_funcs}")
-    docs = [load_artifact(p) for p in args.artifacts]
-    docs += [hbs_artifact(cfg, nb) for nb in args.hbs or []]
-    if not docs:
+    if not args.artifacts and not hbs:
         raise ConfigError("no artifacts given (paths or --hbs)")
     grid = _artifact_grid(cfg)
-    for doc in docs:
+    bases = []
+    for path in args.artifacts:
+        doc = load_artifact(path)
+        label = f"{doc['criterion']}_Nb{doc['n_basis']}"
         shape = (cfg.n_funcs, doc["n_basis"])
         dims = (doc["n_funcs"], doc["R"].shape)
         if doc["grid"] != grid or dims != (cfg.n_funcs, shape):
             raise ConfigError(
-                f"artifact {_artifact_label(doc)} (grid {doc['grid']}, R of shape "
+                f"artifact {label} (grid {doc['grid']}, R of shape "
                 f"{doc['R'].shape}) does not match the configuration (grid {grid}, "
                 f"(n_funcs, n_basis) = {shape})"
             )
-    return docs
+        bases.append((label, doc["R"]))
+    return bases + [(f"HBS_Nb{nb}", hbs_coefficients(cfg.n_funcs, nb)) for nb in hbs]
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
-    docs = _gather_artifacts(cfg, args)
+    bases = _bases(cfg, args)
     grid = cfg.grid()
     m = cfg.measure
     pairs = load_or_build_each(grid, m.points, cfg.n_funcs, cfg.cache_dir)
     records = [record for record, _ in pairs]  # one read serves both metrics
     off = {metric: stack_offline(records, m.weights, metric) for metric in METRICS}
     rows = []
-    for doc in docs:
-        R = doc["R"]
-        rows.append(
-            (
-                _artifact_label(doc),
-                doc["n_basis"],
-                eval_JA(R, off["L2"]),
-                eval_JA(R, off["H1"]),
-                eval_JE(R, off["L2"]),
-            )
-        )
-        print(
-            f"{rows[-1][0]:>12}  Nb={rows[-1][1]}  J_L2={rows[-1][2]!r}  "
-            f"J_H1={rows[-1][3]!r}  J_E={rows[-1][4]!r}"
-        )
+    for label, R in bases:
+        nb, j_l2, j_h1 = R.shape[1], eval_JA(R, off["L2"]), eval_JA(R, off["H1"])
+        j_e = eval_JE(R, off["L2"])
+        print(f"{label:>12}  Nb={nb}  J_L2={j_l2!r}  J_H1={j_h1!r}  J_E={j_e!r}")
+        rows.append((label, _fmt(nb), j_l2, j_h1, j_e))
     write_csv(
         os.path.join(cfg.out_dir, "criteria_table.csv"),
         ["basis", "n_basis", "J_L2", "J_H1", "J_E"],
-        [(label, _fmt(nb), j2, jh, je) for label, nb, j2, jh, je in rows],
+        rows,
     )
     return 0
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    docs = _gather_artifacts(cfg, args)
+    bases = _bases(cfg, args)
     grid = cfg.grid()
     # end the curve where the box still holds the basis tails
     a_end = min(CURVE_A_MAX, grid.x_max - R_MAX)
@@ -385,10 +350,8 @@ def cmd_report(cfg: RunConfig, args) -> int:
             f"a = {CURVE_A_MIN}, got x_max = {grid.x_max}"
         )
     a_values = default_curve_points(cfg.curve_points, a_end)
-    bases = [doc["R"] for doc in docs]
-    per_doc = curves(bases, a_values, grid, cfg.n_funcs)
-    for doc, curve in zip(docs, per_doc):
-        label = _artifact_label(doc)
+    per_basis = curves([R for _, R in bases], a_values, grid, cfg.n_funcs)
+    for (label, _), curve in zip(bases, per_basis):
         write_csv(
             os.path.join(cfg.out_dir, f"energy_curve_{label}.csv"),
             ["a", "E_ref", "E_basis", "abs_error", "cond"],
@@ -399,9 +362,9 @@ def cmd_report(cfg: RunConfig, args) -> int:
             ["a", "l1", "h1", "vw"],
             [(p.a, p.l1, p.h1, p.vw) for p in curve],
         )
-    _write_basis_functions(cfg, grid, docs)
+    _write_basis_functions(cfg, grid, bases)
     sweep_a = np.geomspace(0.1, CURVE_A_MAX, 40)
-    for nb in sorted({doc["n_basis"] for doc in docs}):
+    for nb in sorted({R.shape[1] for _, R in bases}):
         sweep = overlap_condition_sweep(nb, sweep_a)
         write_csv(
             os.path.join(cfg.out_dir, f"condition_Nb{nb}.csv"),
@@ -412,16 +375,16 @@ def cmd_report(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _write_basis_functions(cfg: RunConfig, grid: Grid, docs: list[dict]):
-    """Every artifact's basis functions at the first measure point, from one
-    dimer basis, which is freed before the report goes on."""
-    basis = assemble_dimer(grid, cfg.measure.points[0], cfg.n_funcs)
-    for doc in docs:
+def _write_basis_functions(cfg: RunConfig, grid: Grid, bases):
+    """Every basis's functions at the first measure point, from one dimer
+    basis, which is freed before the report goes on."""
+    dimer = assemble_dimer(grid, cfg.measure.points[0], cfg.n_funcs)
+    for label, R in bases:
         # scale back to true function values (undo the sqrt(dx) convention)
-        columns = basis @ expand(doc["R"]) / np.sqrt(grid.dx)
+        columns = dimer @ expand(R) / np.sqrt(grid.dx)
         header = ["x"] + [f"chi_{i}" for i in range(columns.shape[1])]
         write_csv(
-            os.path.join(cfg.out_dir, f"basis_functions_{_artifact_label(doc)}.csv"),
+            os.path.join(cfg.out_dir, f"basis_functions_{label}.csv"),
             header,
             [(x, *row) for x, row in zip(grid.points, columns)],
         )
@@ -452,20 +415,23 @@ def build_parser() -> argparse.ArgumentParser:
         "Each configuration is reported as computed (no entry: FD solve, entry "
         "written), cached (entry read) or rebuilt (unreadable or foreign entry "
         "replaced).",
-    )
-    sub.add_parser("optimize", help="optimize a basis and store the artifact")
-    for name, help_ in (
-        ("evaluate", "criterion values for stored artifacts"),
-        ("report", "emit energy/density/condition/basis CSV files"),
+    ).set_defaults(handler=cmd_reference)
+    sub.add_parser(
+        "optimize", help="optimize a basis and store the artifact"
+    ).set_defaults(handler=cmd_optimize)
+    for name, handler, help_ in (
+        ("evaluate", cmd_evaluate, "criterion values for stored artifacts"),
+        ("report", cmd_report, "emit energy/density/condition/basis CSV files"),
     ):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         p.add_argument("artifacts", nargs="*", help="artifact JSON paths")
         p.add_argument(
             "--hbs",
             type=int,
             action="append",
             metavar="N_B",
-            help="include the HBS pseudo-artifact of this size",
+            help="include the plain Hermite basis (HBS) of this size",
         )
     return parser
 
@@ -480,13 +446,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, cache_dir=args.cache)
         if args.out:
             cfg = replace(cfg, out_dir=args.out)
-        handler = {
-            "reference": cmd_reference,
-            "optimize": cmd_optimize,
-            "evaluate": cmd_evaluate,
-            "report": cmd_report,
-        }[args.command]
-        return handler(cfg, args)
+        return args.handler(cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

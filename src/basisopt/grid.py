@@ -54,16 +54,6 @@ class TridiagOperator:
         out[1:] += o * v[:-1]
         return out
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the full matrix (oracle/testing hook)."""
-        n = self.diag.shape[0]
-        dense = np.zeros((n, n))
-        idx = np.arange(n)
-        dense[idx, idx] = self.diag
-        dense[idx[:-1], idx[:-1] + 1] = self.offdiag
-        dense[idx[:-1] + 1, idx[:-1]] = self.offdiag
-        return dense
-
 
 def build_grid(x_max: float, n_points: int) -> Grid:
     """Build the uniform Dirichlet grid on [-x_max, x_max]."""
@@ -72,6 +62,15 @@ def build_grid(x_max: float, n_points: int) -> Grid:
     if n_points < 3:
         raise ValueError(f"n_points must be at least 3, got {n_points}")
     dx = 2.0 * x_max / (n_points + 1)
+    # the FD Hamiltonian holds 1/dx^2 and V_a, whose factors (x -+ a)^2 reach
+    # (2 x_max)^2 for a centre in the box; products of Python floats overflow
+    # to inf without numpy's RuntimeWarning
+    dx2, edge = float(dx) * float(dx), 4.0 * float(x_max) * float(x_max)
+    if not (dx2 > 0.0 and 1.0 / dx2 < np.inf and edge * edge < np.inf):
+        raise ValueError(
+            f"the FD Hamiltonian on [-{x_max}, {x_max}] with {n_points} points "
+            "is not finite"
+        )
     points = -x_max + dx * np.arange(1, n_points + 1)
     return Grid(x_max=float(x_max), n_points=int(n_points), dx=dx, points=points)
 
@@ -110,12 +109,4 @@ def fd_gradient(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.subtract(v[1:], v[:-1], out=d[1:-1])
     d[-1] = -v[-1]
     return d
-
-
-def h1_metric(grid: Grid) -> TridiagOperator:
-    """H1 metric I - Laplacian with the 3-point FD Laplacian; SPD."""
-    inv_dx2 = 1.0 / grid.dx**2
-    diag = np.full(grid.n_points, 1.0 + 2.0 * inv_dx2)
-    offdiag = np.full(grid.n_points - 1, -inv_dx2)
-    return TridiagOperator(diag=diag, offdiag=offdiag)
 

@@ -47,31 +47,6 @@ class TailOverflowWarning(UserWarning):
     """Basis function tails not representable inside the Dirichlet box."""
 
 
-def _check_center(grid: Grid, center: float):
-    if not (-grid.x_max < center < grid.x_max):
-        raise ValueError(
-            f"center {center} outside the open box (-{grid.x_max}, {grid.x_max})"
-        )
-
-
-def _read_only(columns: np.ndarray) -> np.ndarray:
-    columns.setflags(write=False)
-    return columns
-
-
-def hermite_columns(grid: Grid, center: float, n_funcs: int) -> np.ndarray:
-    """The first n_funcs Hermite functions translated to `center`, sampled
-    on the grid as read-only columns scaled by sqrt(dx).
-
-    With that scaling the discrete L2 inner products are plain matrix
-    products, and column norms are ~1 (trapezoidal quadrature of the exact
-    normalization).
-    """
-    _check_center(grid, center)
-    cols = np.sqrt(grid.dx) * hermite_functions(grid.points - center, n_funcs).T
-    return _read_only(cols)
-
-
 def assemble_dimer(
     grid: Grid,
     a: float,
@@ -81,6 +56,10 @@ def assemble_dimer(
 ) -> np.ndarray:
     """Assemble B_a = [basis at +a | basis at -a], shape (n_points, 2 n_funcs),
     as read-only sqrt(dx)-scaled columns.
+
+    With that scaling the discrete L2 inner products are plain matrix
+    products, and column norms are ~1 (trapezoidal quadrature of the exact
+    normalization).
 
     Both centres run through one Hermite recurrence on contiguous rows,
     shape (n_funcs, 2, n_points), which are scaled and copied once into the
@@ -98,7 +77,10 @@ def assemble_dimer(
             TailOverflowWarning,
             stacklevel=2,
         )
-    _check_center(grid, a)  # the box is symmetric, so -a fits as well
+    if not -grid.x_max < a < grid.x_max:  # the box is symmetric: -a fits too
+        raise ValueError(
+            f"center {a} outside the open box (-{grid.x_max}, {grid.x_max})"
+        )
     centers = np.array([[a], [-a]], dtype=float)
     rows = hermite_functions(grid.points - centers, n_funcs, rows)
     if out is None:
@@ -109,4 +91,6 @@ def assemble_dimer(
         rows.transpose(2, 1, 0),
         out=out.reshape(grid.n_points, 2, n_funcs),
     )
-    return _read_only(out.view())
+    B = out.view()
+    B.setflags(write=False)
+    return B

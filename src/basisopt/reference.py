@@ -15,10 +15,11 @@ path through the cache, which holds the measure's records only: a curve
 point builds its record from the FD solve it makes anyway
 (build_offline_single with `fd`).
 
-A loop over configurations builds through one FDWorkspace, whose grid-size
-buffers hold B, the Hermite recurrence rows then V B, and D B, so no
-configuration allocates a grid-size array; the records own their memory
-and are the same bit for bit with or without a workspace.
+Every FD build goes through an FDWorkspace, whose grid-size buffers hold
+B, the Hermite recurrence rows then V B, and D B. A loop over
+configurations passes one workspace to every build, so no configuration
+allocates a grid-size array; a build given none makes its own. The records
+own their memory.
 
 H_FD is never applied to B: H_FD = D^T D / (2 dx^2) + diag(V) exactly,
 so m_e = B^T V B + s_lap / 2 reuses the D B of the H1 overlap and avoids
@@ -139,7 +140,7 @@ class FDWorkspace:
 
     A loop over configurations makes one and passes it to every solve and
     build, so no configuration allocates a grid-size array. Records own
-    their memory; a SolvedConfiguration made on a workspace views it.
+    their memory; a SolvedConfiguration views its workspace.
     """
 
     def __init__(self, grid: Grid, n_funcs: int):
@@ -154,8 +155,8 @@ class FDWorkspace:
 class SolvedConfiguration:
     """The FD ground pair and the dimer basis B at one a.
 
-    Made on an FDWorkspace, B is the workspace's buffer: it is valid until
-    the next solve on that workspace.
+    B is the buffer of the FDWorkspace the solve was made on: it is valid
+    until the next solve on that workspace.
     """
 
     pair: GroundPair = field(repr=False)
@@ -171,11 +172,11 @@ def solve_configuration(
     except NumericalFailure as exc:
         raise NumericalFailure(f"reference solve failed at a={a}: {exc}") from exc
     if workspace is None:
-        basis = assemble_dimer(grid, a, n_funcs)
-    else:
-        rows = workspace.scratch.reshape(n_funcs, 2, grid.n_points)
-        basis = assemble_dimer(grid, a, n_funcs, workspace.basis, rows)
-    return SolvedConfiguration(pair, basis)
+        workspace = FDWorkspace(grid, n_funcs)
+    rows = workspace.scratch.reshape(n_funcs, 2, grid.n_points)
+    return SolvedConfiguration(
+        pair, assemble_dimer(grid, a, n_funcs, workspace.basis, rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -251,14 +252,16 @@ def build_offline_single(
     workspace: FDWorkspace | None = None,
 ) -> OfflineRecord:
     """The offline record of one configuration from one FD solve, or from
-    `fd` when the caller has solved it. With a workspace, the grid-size
-    intermediates live in its buffers."""
+    `fd` when the caller has solved it. The grid-size intermediates live in
+    the buffers of the workspace, a new one when none is given."""
+    if workspace is None:
+        workspace = FDWorkspace(grid, n_funcs)
     if fd is None:
         fd = solve_configuration(grid, a, n_funcs, workspace)
     B = fd.basis
     V = potential(a, grid.points)[:, None]
-    VB = np.multiply(V, B, out=None if workspace is None else workspace.scratch)
-    DB = fd_gradient(B, None if workspace is None else workspace.grad)
+    VB = np.multiply(V, B, out=workspace.scratch)
+    DB = fd_gradient(B, workspace.grad)
     phis = np.column_stack([fd.pair.phi1, fd.pair.phi2])
     inv_dx2 = 1.0 / grid.dx**2
     s_lap = _symmetrize(DB.T @ DB) * inv_dx2

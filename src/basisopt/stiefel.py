@@ -61,6 +61,14 @@ class OptimReport:
     def final_value(self) -> float:
         return float(self.trajectory[-1])
 
+    @property
+    def stop_reason(self) -> str:
+        """Why the run ended: "converged", "line search stalled" or
+        "max_iter reached"."""
+        if self.converged:
+            return "converged"
+        return "line search stalled" if self.stalled else "max_iter reached"
+
 
 def sym(M: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""

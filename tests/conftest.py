@@ -3,9 +3,36 @@ import pytest
 
 from basisopt.criteria import CriterionKind, make_criterion
 from basisopt.galerkin import hbs_coefficients
-from basisopt.grid import build_grid
+from basisopt.grid import TridiagOperator, build_grid
+from basisopt.hermite import hermite_functions
 from basisopt.reference import build_offline, default_measure
 from basisopt.stiefel import OptimSettings, minimize
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def to_dense(op: TridiagOperator) -> np.ndarray:
+    """The full matrix of a tridiagonal operator."""
+    return np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
+
+
+def h1_metric(grid) -> TridiagOperator:
+    """H1 metric I - Laplacian with the 3-point FD Laplacian; SPD."""
+    inv_dx2 = 1.0 / grid.dx**2
+    diag = np.full(grid.n_points, 1.0 + 2.0 * inv_dx2)
+    offdiag = np.full(grid.n_points - 1, -inv_dx2)
+    return TridiagOperator(diag=diag, offdiag=offdiag)
+
+
+def hermite_columns(grid, center: float, n_funcs: int) -> np.ndarray:
+    """The first n_funcs Hermite functions translated to `center`, sampled
+    on the grid as columns scaled by sqrt(dx): one centre's block of
+    `assemble_dimer`, from its own recurrence call."""
+    return np.sqrt(grid.dx) * hermite_functions(grid.points - center, n_funcs).T
+
+
+# -- fixtures ------------------------------------------------------------------
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from basisopt.evaluate import (
     overlap_condition_sweep,
 )
 from basisopt.galerkin import expand, hbs_coefficients, lcao_density, reduced_ground_pair
-from basisopt.grid import build_grid, fd_hamiltonian, h1_metric
+from basisopt.grid import build_grid, fd_hamiltonian
 from basisopt.hermite import assemble_dimer
 from basisopt.reference import (
     build_offline,
@@ -33,6 +33,7 @@ from basisopt.reference import (
     uniform_measure,
 )
 from basisopt.stiefel import minimize, random_stiefel
+from conftest import h1_metric, to_dense
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -141,7 +142,7 @@ def test_criterion_5_oracle_equivalence(grid_main):
     rng = np.random.default_rng(7)
     # compressed projection criterion vs dense A-orthogonal projector
     g = build_grid(20.0, 999)
-    A = h1_metric(g).to_dense()
+    A = to_dense(h1_metric(g))
     worst = 0.0
     for a in (1.5, 2.2, 3.0, 4.1, 5.0):
         data = stack_offline([build_offline_single(g, a, 6)], [1.0], "H1")

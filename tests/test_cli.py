@@ -4,22 +4,16 @@ import subprocess
 import sys
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import basisopt
 from basisopt import cli, evaluate, reference
-from basisopt.cli import (
-    ConfigError,
-    RunConfig,
-    hbs_artifact,
-    load_artifact,
-    load_config,
-    main,
-)
-from basisopt.criteria import eval_JA, eval_JE
+from basisopt.cli import ConfigError, RunConfig, load_artifact, load_config, main
+from basisopt.criteria import CriterionKind, eval_JA, eval_JE
+from basisopt.galerkin import hbs_coefficients
 from basisopt.hermite import TailOverflowWarning
 from basisopt.reference import build_offline
+from basisopt.stiefel import OptimSettings
 
 SMALL_CONFIG = """\
 [grid]
@@ -72,6 +66,19 @@ def snapshot(directory):
     return {p.name: p.stat().st_mtime_ns for p in directory.iterdir()}
 
 
+def artifact_doc(cfg, n_basis):
+    """An artifact document, as `optimize` writes one, of the HBS
+    coefficients on the grid and n_funcs of cfg."""
+    return {
+        "schema_version": 1,
+        "R": hbs_coefficients(cfg.n_funcs, n_basis).tolist(),
+        "n_funcs": cfg.n_funcs,
+        "n_basis": n_basis,
+        "criterion": "HBS",
+        "grid": {"x_max": cfg.grid().x_max, "n_points": cfg.n_points},
+    }
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
@@ -86,8 +93,29 @@ class TestConfig:
 
     def test_empty_sections_keep_the_defaults(self, tmp_path):
         path = tmp_path / "empty.ini"
-        path.write_text("[measure]\n[optimize]\n[report]\n")
+        path.write_text("[criterion]\n[measure]\n[optimize]\n[report]\n")
         assert load_config(str(path)) == RunConfig()
+
+    def test_every_scalar_key_sets_its_field(self, tmp_path):
+        path = tmp_path / "all.ini"
+        path.write_text(
+            "[grid]\nx_max = 21.5\nn_points = 999\n"
+            "[basis]\nn_funcs = 7\nn_basis = 3\n"
+            "[criterion]\nkind = JA_H1\n"
+            "[optimize]\ngrad_tol = 1e-9\nmax_iter = 42\nlbfgs_memory = 4\n"
+            "random_start = yes\n"
+            "[report]\ncurve_points = 9\n"
+        )
+        assert load_config(str(path)) == RunConfig(
+            x_max=21.5,
+            n_points=999,
+            n_funcs=7,
+            n_basis=3,
+            criterion=CriterionKind.JA_H1,
+            settings=OptimSettings(grad_tol=1e-9, max_iter=42, lbfgs_memory=4),
+            random_start=True,
+            curve_points=9,
+        )
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -152,8 +180,9 @@ class TestConfig:
         [
             ("reference", "points = 1.5,nan,3.0"),
             ("optimize", "points = 1.5,2.0,3.0\nweights = 0.5,nan,0.5"),
+            ("reference", "weights = 1.0"),  # no points
         ],
-        ids=["nan_point", "nan_weight"],
+        ids=["nan_point", "nan_weight", "no_points"],
     )
     def test_non_finite_measure_is_config_error(
         self, tmp_path, capsys, command, measure
@@ -180,8 +209,9 @@ class TestConfig:
         ids=lambda command: command[0],
     )
     @pytest.mark.parametrize(
-        "grid", ["n_points = 2", "x_max = -3", "x_max = nan"],
-        ids=["two_points", "negative_x_max", "nan_x_max"],
+        "grid",
+        ["n_points = 2", "x_max = -3", "x_max = nan", "x_max = 1e154", "x_max = 1e200"],
+        ids=["two_points", "negative_x_max", "nan_x_max", "x_max_1e154", "x_max_1e200"],
     )
     def test_invalid_grid_is_config_error(self, tmp_path, capsys, command, grid):
         path = tmp_path / "grid.ini"
@@ -370,8 +400,7 @@ class TestEvaluateReport:
     def test_artifact_config_mismatch(
         self, tmp_path, small_config, capsys, command, mismatch
     ):
-        doc = hbs_artifact(replace(load_config(small_config), **mismatch), 1)
-        doc["R"] = doc["R"].tolist()
+        doc = artifact_doc(replace(load_config(small_config), **mismatch), 1)
         path = tmp_path / "alien.json"
         path.write_text(json.dumps(doc))
         assert run([command, str(path)], tmp_path, small_config) == 2
@@ -382,8 +411,7 @@ class TestEvaluateReport:
     def test_non_finite_artifact_is_config_error(
         self, tmp_path, small_config, capsys, command, value
     ):
-        doc = hbs_artifact(load_config(small_config), 1)
-        doc["R"] = doc["R"].tolist()
+        doc = artifact_doc(load_config(small_config), 1)
         doc["R"][2][0] = value  # json writes NaN and Infinity
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -407,19 +435,12 @@ class TestEvaluateReport:
         assert not [n for n in written if n.startswith(("energy_", "density_"))]
 
     def test_incompatible_artifacts_rejected(self, tmp_path, small_config):
-        cfg = load_config(small_config)
-        doc = hbs_artifact(cfg, 1)
-        doc["R"] = doc["R"].tolist()
-        doc["n_funcs"] = 7  # mismatch with cfg-derived HBS artifact
+        doc = artifact_doc(load_config(small_config), 1)
+        doc["n_funcs"] = 7  # mismatch with the configuration
         path = tmp_path / "alien.json"
         path.write_text(json.dumps(doc))
         code = run(["evaluate", str(path), "--hbs", "1"], tmp_path, small_config)
         assert code == 2
-
-
-def test_hbs_artifact_is_identity_prefix():
-    doc = hbs_artifact(RunConfig(), 3)
-    np.testing.assert_array_equal(doc["R"], np.eye(10)[:, :3])
 
 
 class TestStartupAndSolves:
@@ -506,7 +527,7 @@ class TestStartupAndSolves:
         }
         expected = ["basis,n_basis,J_L2,J_H1,J_E"]
         for nb in (1, 2):
-            R = hbs_artifact(cfg, nb)["R"]
+            R = hbs_coefficients(cfg.n_funcs, nb)
             values = (
                 nb,
                 eval_JA(R, off["L2"]),

@@ -21,7 +21,6 @@ from basisopt.galerkin import (
     reduced_overlap,
 )
 from basisopt.grid import build_grid, fd_hamiltonian
-from basisopt.hermite import hermite_columns
 from basisopt.reference import (
     OfflineStack,
     build_offline_single,
@@ -29,6 +28,7 @@ from basisopt.reference import (
     stack_offline,
 )
 from basisopt.stiefel import random_stiefel, tangent_project
+from conftest import hermite_columns
 
 
 def config(offline: OfflineStack, k: int) -> OfflineStack:

@@ -36,6 +36,7 @@ class TestExpand:
 
     def test_hbs_selects_leading_hermites(self):
         R = hbs_coefficients(5, 2)
+        np.testing.assert_array_equal(R, np.eye(5)[:, :2])
         I_R = expand(R)
         picked = np.flatnonzero(I_R.any(axis=1))
         np.testing.assert_array_equal(picked, [0, 1, 5, 6])

@@ -8,9 +8,9 @@ from basisopt.grid import (
     build_grid,
     fd_gradient,
     fd_hamiltonian,
-    h1_metric,
     potential,
 )
+from conftest import h1_metric, to_dense
 
 
 class TestBuildGrid:
@@ -91,7 +91,7 @@ class TestFdHamiltonian:
         np.testing.assert_allclose(H.offdiag, -0.5 * inv_dx2)
 
     def test_dense_symmetric(self):
-        H = fd_hamiltonian(build_grid(5.0, 40), 1.0).to_dense()
+        H = to_dense(fd_hamiltonian(build_grid(5.0, 40), 1.0))
         assert np.array_equal(H, H.T)
 
     def test_lowest_eigenvalue_dense_oracle(self):
@@ -100,7 +100,7 @@ class TestFdHamiltonian:
         banded = scipy.linalg.eigh_tridiagonal(
             H.diag, H.offdiag, select="i", select_range=(0, 0)
         )[0][0]
-        dense = np.linalg.eigvalsh(H.to_dense())[0]
+        dense = np.linalg.eigvalsh(to_dense(H))[0]
         assert banded == pytest.approx(dense, abs=1e-10)
 
     def test_matvec_matches_dense(self, rng):
@@ -110,9 +110,9 @@ class TestFdHamiltonian:
         varying = TridiagOperator(H.diag, rng.standard_normal(36))
         for op in (H, varying):
             v = rng.standard_normal(37)
-            np.testing.assert_allclose(op.matvec(v), op.to_dense() @ v, atol=1e-12)
+            np.testing.assert_allclose(op.matvec(v), to_dense(op) @ v, atol=1e-12)
             M = rng.standard_normal((37, 3))
-            np.testing.assert_allclose(op.matvec(M), op.to_dense() @ M, atol=1e-12)
+            np.testing.assert_allclose(op.matvec(M), to_dense(op) @ M, atol=1e-12)
 
 
 class TestH1Metric:
@@ -130,7 +130,7 @@ class TestH1Metric:
     def test_gradient_factors_the_laplacian(self, rng):
         # D^T D / dx^2 is the metric's Laplacian part: A - I
         g = build_grid(3.0, 29)
-        neg_laplacian = h1_metric(g).to_dense() - np.eye(g.n_points)
+        neg_laplacian = to_dense(h1_metric(g)) - np.eye(g.n_points)
         M = rng.standard_normal((g.n_points, 3))
         D = fd_gradient(M)
         assert D.shape == (g.n_points + 1, 3)

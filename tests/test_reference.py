@@ -7,8 +7,8 @@ import pytest
 
 from basisopt import reference
 from basisopt.galerkin import hbs_coefficients, reduced_ground_pair
-from basisopt.grid import build_grid, fd_hamiltonian, h1_metric
-from basisopt.hermite import assemble_dimer, hermite_columns
+from basisopt.grid import build_grid, fd_hamiltonian
+from basisopt.hermite import assemble_dimer
 from basisopt.reference import (
     FDWorkspace,
     Measure,
@@ -23,6 +23,7 @@ from basisopt.reference import (
     stack_offline,
     uniform_measure,
 )
+from conftest import h1_metric, hermite_columns, to_dense
 
 OFFLINE_FIELDS = ("m_a", "s_a", "m_e", "s_b")
 RECORD_FIELDS = ("g", "g_lap", "s_b", "m_e", "s_lap")
@@ -249,7 +250,7 @@ class TestBuildOffline:
             warnings.simplefilter("ignore")
             data = stack_offline([build_offline_single(g, a, 6)], [1.0], "H1")
             B = assemble_dimer(g, a, 6)
-        A = h1_metric(g).to_dense()
+        A = to_dense(h1_metric(g))
         pair = solve_ground_pair(fd_hamiltonian(g, a), g)
         P = np.outer(pair.phi1, pair.phi1) + np.outer(pair.phi2, pair.phi2)
         R = random_stiefel(rng, 6, 2)

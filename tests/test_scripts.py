@@ -1,11 +1,11 @@
 import csv
 import importlib.util
 import os
-from types import SimpleNamespace
-
+import numpy as np
 import pytest
 
 from basisopt import reference
+from basisopt.stiefel import OptimReport
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
 
@@ -52,7 +52,15 @@ def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, cache):
     ],
 )
 def test_run_tables_names_what_ended_a_run(converged, stalled, note):
-    result = SimpleNamespace(converged=converged, stalled=stalled, grad_norm=2e-5)
+    result = OptimReport(
+        R_opt=np.eye(3, 2),
+        iterations=5,
+        converged=converged,
+        trajectory=np.zeros(6),
+        grad_norm=2e-5,
+        evaluations=7,
+        stalled=stalled,
+    )
     assert load_script("run_tables")._stop_note(result) == note
 
 

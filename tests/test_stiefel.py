@@ -99,7 +99,7 @@ class TestMinimize:
             return float(np.trace(R.T @ M @ R)), 2.0 * M @ R
 
         report = minimize(value_and_grad, random_stiefel(rng, 8, 2))
-        assert report.converged
+        assert report.converged and report.stop_reason == "converged"
         assert report.final_value == pytest.approx(target, abs=1e-8)
 
     def test_je_from_hbs_start(self, offline_l2):
@@ -138,6 +138,7 @@ class TestMinimize:
         )
         assert not report.converged
         assert report.iterations == 2
+        assert report.stop_reason == "max_iter reached"
 
     def test_settings_validation(self):
         for grad_tol in (0.0, np.nan, np.inf):

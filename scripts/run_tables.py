@@ -5,12 +5,15 @@ error) this prints the value at N_b = 1..4 for the plain Hermite basis
 and for the optimized basis started from it, together with the L-BFGS
 iteration counts and, for a run that did not converge, whether a
 line-search stall or max_iter ended it. The CSV also records each run's
-stalled flag, final gradient norm and value+gradient evaluations.
+stop reason, stalled flag, final gradient norm, value+gradient evaluations
+and wall time. A last line sums the iterations, evaluations and seconds of
+all runs, so the optimizer's hot path can be timed without the benchmark.
 """
 
 import argparse
 import csv
 import sys
+import time
 
 from basisopt.criteria import CriterionKind, eval_JA, eval_JE, make_criterion
 from basisopt.galerkin import hbs_coefficients
@@ -49,7 +52,9 @@ def main(argv=None):
         for n_basis in range(1, 5):
             hbs = hbs_coefficients(args.n_funcs, n_basis)
             baseline = evaluate(hbs, data)
+            start = time.perf_counter()
             result = minimize(make_criterion(kind, data), hbs)
+            seconds = time.perf_counter() - start
             rows.append(
                 {
                     "criterion": kind.value,
@@ -59,8 +64,10 @@ def main(argv=None):
                     "iterations": result.iterations,
                     "converged": result.converged,
                     "stalled": result.stalled,
+                    "stop_reason": result.stop_reason,
                     "grad_norm": result.grad_norm,
                     "evaluations": result.evaluations,
+                    "seconds": seconds,
                 }
             )
             print(
@@ -69,6 +76,11 @@ def main(argv=None):
                 f"iters={result.iterations}{_stop_note(result)}"
             )
 
+    print(
+        f"total: {len(rows)} runs, {sum(r['iterations'] for r in rows)} iterations, "
+        f"{sum(r['evaluations'] for r in rows)} evaluations, "
+        f"{sum(r['seconds'] for r in rows):.3f} s"
+    )
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

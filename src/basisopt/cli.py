@@ -104,6 +104,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config file {path}: {detail}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    if parser.defaults():  # configparser would copy these into every section
+        keys = ", ".join(sorted(parser.defaults()))
+        raise ConfigError(f"[DEFAULT] is not supported; put {keys} in a section")
     for name in parser.sections():
         if name not in _KEYS:
             raise ConfigError(f"unknown config section [{name}]")
@@ -116,15 +119,33 @@ def load_config(path: str) -> RunConfig:
             if name == "measure":
                 run["measure"] = _parse_measure(parser[name])
                 continue
-            for key, text in parser[name].items():
+            for key in parser[name]:
                 field_name, read_value = _KEYS[name][key]
                 optim = field_name in OptimSettings.__dataclass_fields__
-                (settings if optim else run)[field_name] = read_value(text)
+                value = _read(parser[name], key, read_value)
+                (settings if optim else run)[field_name] = value
         cfg = RunConfig(**run, settings=OptimSettings(**settings))
-    except ValueError as exc:
+    except ConfigError:
+        raise  # it names its key already
+    except ValueError as exc:  # a value that a dataclass's own checks reject
         raise ConfigError(f"invalid config value: {exc}") from exc
     _validate(cfg)
     return cfg
+
+
+def _read(section, key: str, read_value, fallback=None):
+    """The value of one key, or fallback if the section lacks it; a value
+    that read_value rejects is a ConfigError that names the key."""
+    if key not in section:
+        return fallback
+    try:
+        return read_value(section[key])
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
 def _parse_measure(section) -> Measure:
@@ -132,20 +153,17 @@ def _parse_measure(section) -> Measure:
     if kind == "uniform":
         default = default_measure()
         return uniform_measure(
-            section.getfloat("a_min", fallback=default.points[0]),
-            section.getfloat("a_max", fallback=default.a_max),
-            section.getint("count", fallback=len(default.points)),
+            _read(section, "a_min", float, default.points[0]),
+            _read(section, "a_max", float, default.a_max),
+            _read(section, "count", int, len(default.points)),
         )
     if kind == "explicit":
         if "points" not in section:
             raise ConfigError("[measure] kind = explicit needs points")
-        points = tuple(float(v) for v in section["points"].split(","))
-        if "weights" in section:
-            weights = tuple(float(v) for v in section["weights"].split(","))
-        else:
-            weights = (1.0,) * len(points)
+        points = _read(section, "points", _floats)
+        weights = _read(section, "weights", _floats, (1.0,) * len(points))
         return Measure(points=points, weights=weights)
-    raise ConfigError(f"unknown measure kind {kind!r}")
+    raise ConfigError(f"[measure] kind: unknown measure kind {kind!r}")
 
 
 def _validate(cfg: RunConfig):
@@ -279,6 +297,7 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
             "evaluations": report.evaluations,
             "converged": report.converged,
             "stalled": report.stalled,
+            "stop_reason": report.stop_reason,
             "grad_norm": report.grad_norm,
             "trajectory": report.trajectory.tolist(),
         },

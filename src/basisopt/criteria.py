@@ -52,6 +52,11 @@ def _diag_blocks_sum(M: np.ndarray) -> np.ndarray:
     return M[:n, :m] + M[n:, m:]
 
 
+def _weighted_sum(w: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """sum_n w_n D_n: the one dot that np.tensordot(w, D, axes=1) makes."""
+    return np.dot(w[None], D.reshape(len(D), -1)).reshape(D.shape[1:])
+
+
 def _ja(R, offline: OfflineStack):
     """Value and gradient of J_A = -sum_n w_n Tr(M_red S_red^{-1})."""
     m, s, weight = offline.m_a, offline.s_a, offline.weight
@@ -59,11 +64,11 @@ def _ja(R, offline: OfflineStack):
     M_red = reduced_overlap(m, R)
     S_inv_sqrt, _ = inv_sqrt_spd(S_red, a=offline.a)
     S_inv = S_inv_sqrt @ S_inv_sqrt
-    value = -float(weight @ np.sum(S_inv * M_red, axis=(1, 2)))
+    value = -float(weight @ (S_inv * M_red).sum(axis=(1, 2)))
     # d/dI_R Tr(M_red S_red^{-1}) = 2 (M I_R S^{-1} - S I_R S^{-1} M_red S^{-1})
     I_R = expand(R)
     D = m @ I_R @ S_inv - s @ I_R @ (S_inv @ M_red @ S_inv)
-    return value, -2.0 * _diag_blocks_sum(np.tensordot(weight, D, axes=1))
+    return value, -2.0 * _diag_blocks_sum(_weighted_sum(weight, D))
 
 
 def _je(R, offline: OfflineStack):
@@ -71,7 +76,7 @@ def _je(R, offline: OfflineStack):
     m, s, weight, a = offline.m_e, offline.s_b, offline.weight, offline.a
     pair = reduced_ground_pair(m, s, R, a=a)
     gap = pair.mu3 - pair.mu2
-    for n in np.flatnonzero(gap < GAP_TOL):
+    for n in (gap < GAP_TOL).nonzero()[0]:
         warnings.warn(
             f"third Ritz value degenerate with the occupied pair at "
             f"a={a[n]} (gap {gap[n]:.3e})",
@@ -82,12 +87,11 @@ def _je(R, offline: OfflineStack):
     value = float(weight @ residual**2)
     # dE_R/dI_R = 2 (M I_R P - S I_R Q), P = C C^T, Q = C diag(mu1, mu2) C^T
     C = pair.C
-    Ct = np.swapaxes(C, 1, 2)
-    mu = np.stack([pair.mu1, pair.mu2], axis=1)
+    Ct = C.swapaxes(1, 2)
+    mu = np.array((pair.mu1, pair.mu2)).T  # (K, 2)
     I_R = expand(R)
     D = m @ I_R @ (C @ Ct) - s @ I_R @ ((C * mu[:, None, :]) @ Ct)
-    coef = weight * residual
-    return value, -4.0 * _diag_blocks_sum(np.tensordot(coef, D, axes=1))
+    return value, -4.0 * _diag_blocks_sum(_weighted_sum(weight * residual, D))
 
 
 def eval_JA(R: np.ndarray, offline: OfflineStack) -> float:

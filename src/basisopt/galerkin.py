@@ -42,7 +42,7 @@ def hbs_coefficients(n_funcs: int, n_basis: int) -> np.ndarray:
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def reduced_overlap(s_block: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -58,17 +58,20 @@ def reduced_overlap(s_block: np.ndarray, R: np.ndarray) -> np.ndarray:
 def inv_sqrt_spd(S: np.ndarray, a=None):
     """Symmetric (Lowdin) inverse square root of an SPD matrix or a stack.
 
-    Returns (S^{-1/2}, condition number); for a (K, n, n) stack both carry
-    the leading axis, and `a` holds one configuration per matrix. Raises
-    OvercompletenessError for the first matrix whose spectrum is
-    non-positive or whose condition number exceeds DEFAULT_COND_LIMIT.
+    S must be symmetric, as `reduced_overlap` returns it: `eigh` reads its
+    lower triangle only. Returns (S^{-1/2}, condition number); for a
+    (K, n, n) stack both carry the leading axis, and `a` holds one
+    configuration per matrix. Raises OvercompletenessError for the first
+    matrix whose spectrum is non-positive or whose condition number exceeds
+    DEFAULT_COND_LIMIT.
     """
-    vals, vecs = np.linalg.eigh(_sym(S))
+    vals, vecs = np.linalg.eigh(S)
     smin, smax = vals[..., 0], vals[..., -1]
-    cond = np.divide(smax, smin, out=np.full_like(smin, np.inf), where=smin > 0)
-    bad = np.flatnonzero((smin <= 0) | (cond > DEFAULT_COND_LIMIT))
-    if bad.size:
-        n = bad[0]
+    # a non-positive spectrum keeps cond = inf, so one test catches both
+    cond = np.divide(smax, smin, out=np.full(smin.shape, np.inf), where=smin > 0)
+    bad = cond > DEFAULT_COND_LIMIT
+    if bad.any():
+        n = bad.argmax()  # the first bad matrix
         a_n = None if a is None else float(np.ravel(a)[n])
         where = "" if a_n is None else f" at a={a_n}"
         raise OvercompletenessError(
@@ -77,7 +80,7 @@ def inv_sqrt_spd(S: np.ndarray, a=None):
             cond=float(cond.flat[n]),
             a=a_n,
         )
-    inv_sqrt = (vecs * vals[..., None, :] ** -0.5) @ np.swapaxes(vecs, -1, -2)
+    inv_sqrt = (vecs * vals[..., None, :] ** -0.5) @ vecs.swapaxes(-1, -2)
     return _sym(inv_sqrt), cond[()]  # [()]: a scalar for a single matrix
 
 

@@ -3,18 +3,18 @@
 Geometry: tangent projection G - R sym(R^T G), QR retraction with
 sign-fixed R factor, vector transport by projection onto the new tangent
 space. After each accepted step one `tangent_project` call on a stacked
-(3 + 2m, N, N_b) array projects the new gradient, the step, the old
-gradient and the m stored curvature pairs at once; each slice of the
-result is bit for bit the projection of that matrix alone. The two-loop
-recursion runs on transported tangent vectors; curvature pairs failing
-the positivity check are dropped.
+(4 + 2k, N, N_b) array projects the new gradient, the old gradient, the
+k stored steps and the new one and the k stored gradient changes at once;
+each slice of the result is bit for bit the projection of that matrix
+alone. The curvature memory is two (k, N, N_b) slices of the projected
+stack, so the two-loop recursion runs on transported tangent vectors;
+curvature pairs failing the positivity check are dropped.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -89,8 +89,9 @@ def retract(R: np.ndarray, T: np.ndarray) -> np.ndarray:
             f"St(n, n_basis) needs n_basis <= n, got n={n}, n_basis={n_basis}"
         )
     Q, Rf = np.linalg.qr(R + T)
-    d = np.diagonal(Rf)
-    if np.any(np.abs(d) < 1e-14 * max(1.0, np.abs(d).max(initial=0.0))):
+    d = Rf.diagonal()
+    size = abs(d)
+    if (size < 1e-14 * max(1.0, size.max(initial=0.0))).any():
         raise RetractionError("R + T is numerically rank deficient")
     return Q * np.sign(d)
 
@@ -116,17 +117,17 @@ def minimize(
     evaluations = 1
     g = tangent_project(R, G)
     trajectory = [f]
-    history: deque = deque(maxlen=settings.lbfgs_memory)
-    g_norm = np.linalg.norm(g)
+    S = Y = np.empty((0, *R.shape))  # the curvature pairs, oldest first
+    g_norm = _norm(g)
     stalled = False
     it = 0
 
     while g_norm > settings.grad_tol and it < settings.max_iter:
-        direction = -_two_loop(g, history)
+        direction = -_two_loop(g, S, Y)
         slope = _inner(direction, g)
-        if slope > -1e-14 * g_norm * np.linalg.norm(direction):
+        if slope > -1e-14 * g_norm * _norm(direction):
             direction = -g  # not a descent direction; restart from steepest
-            history.clear()
+            S = Y = S[:0]
             slope = _inner(direction, g)
 
         step = INITIAL_STEP
@@ -148,19 +149,28 @@ def minimize(
             break
 
         # project the new gradient and transport the step, the old gradient
-        # and the stored pairs to the new tangent space, all in one call
-        stack = [G_cand, step * direction, g, *chain.from_iterable(history)]
-        projected = tangent_project(R_new, np.stack(stack))
-        g_new, s = projected[0], projected[1]
-        y = g_new - projected[2]
-        history = deque(
-            zip(projected[3::2], projected[4::2]), maxlen=settings.lbfgs_memory
-        )
-        if _inner(s, y) > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
-            history.append((s, y))
+        # and the stored pairs to the new tangent space, all in one call on
+        # the stack [G_cand, g, S, step, Y, slot for the new gradient change]
+        k = len(S)
+        # zeros, not empty: the last slot is projected before y fills it
+        stack = np.zeros((2 * k + 4, *R.shape))
+        stack[0] = G_cand
+        stack[1] = g
+        stack[2 : 2 + k] = S
+        np.multiply(direction, step, out=stack[2 + k])
+        stack[3 + k : 3 + 2 * k] = Y
+        projected = tangent_project(R_new, stack)
+        g_new, s = projected[0], projected[2 + k]
+        y = np.subtract(g_new, projected[1], out=projected[-1])
+        if _inner(s, y) > 1e-14 * _norm(s) * _norm(y):
+            # a full memory drops its oldest pair
+            first = max(0, k + 1 - settings.lbfgs_memory)
+            S, Y = projected[2 + first : 3 + k], projected[3 + k + first :]
+        else:
+            S, Y = projected[2 : 2 + k], projected[3 + k : 3 + 2 * k]
 
         R, f, g = R_new, f_new, g_new
-        g_norm = np.linalg.norm(g)
+        g_norm = _norm(g)
         trajectory.append(f)
         it += 1
 
@@ -176,24 +186,36 @@ def minimize(
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product: np.sum's pairwise sum without its wrapper."""
-    return float((a * b).sum())
+    """Frobenius inner product: np.sum's pairwise sum without its wrappers."""
+    return float(np.add.reduce(a * b, axis=None))
 
 
-def _two_loop(g: np.ndarray, history) -> np.ndarray:
-    """Standard L-BFGS two-loop recursion on flattened tangent matrices."""
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm: the dot and sqrt np.linalg.norm makes, without its
+    wrapper."""
+    flat = a.ravel("K")
+    return math.sqrt(flat.dot(flat))
+
+
+def _two_loop(g: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Standard L-BFGS two-loop recursion over the (k, N, N_b) stacks of
+    stored steps S and gradient changes Y, oldest first.
+
+    All k products y_i . s_i come from one reduction over the stacks; each
+    is bit for bit the pairwise sum of that pair alone.
+    """
     q = g.copy()
+    if not len(S):
+        return q
+    ys = np.add.reduce(Y * S, axis=(1, 2)).tolist()
+    rhos = [1.0 / v for v in ys]
     alphas = []
-    for s, y in reversed(history):
-        rho = 1.0 / _inner(y, s)
+    for rho, s, y in zip(reversed(rhos), S[::-1], Y[::-1]):
         alpha = rho * _inner(s, q)
         q -= alpha * y
-        alphas.append((rho, alpha, s, y))
-    if history:
-        s_last, y_last = history[-1]
-        gamma = _inner(s_last, y_last) / _inner(y_last, y_last)
-        q *= gamma
-    for rho, alpha, s, y in reversed(alphas):
+        alphas.append(alpha)
+    q *= ys[-1] / _inner(Y[-1], Y[-1])
+    for rho, alpha, s, y in zip(rhos, reversed(alphas), S, Y):
         beta = rho * _inner(y, q)
         q += (alpha - beta) * s
     return q

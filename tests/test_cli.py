@@ -165,6 +165,38 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("basis", "n_funcs", "abc"),
+            ("measure", "count", "x"),
+            ("criterion", "kind", "JX"),
+        ],
+        ids=["int", "measure_int", "criterion_kind"],
+    )
+    def test_invalid_value_names_its_key(self, tmp_path, capsys, section, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        assert run(["reference"], tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith(f"configuration error: [{section}] {key}: ")
+        assert repr(value) in line
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nn_points = 99\n", "[DEFAULT]\nn_points = 99\n[basis]\n"],
+        ids=["alone", "next_to_basis"],
+    )
+    def test_default_section_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "default.ini"
+        path.write_text(text)
+        assert run(["reference"], tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error: [DEFAULT] ")
+        assert "n_points" in line and "[basis]" not in line
+        assert not (tmp_path / "cache").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         code = main(["--config", str(tmp_path / "nope.ini"), "reference"])
         assert code == 2
@@ -319,6 +351,22 @@ class TestOptimize:
         with open(tmp_path / "out" / "optim_JE_Nb1.json") as fh:
             report = json.load(fh)
         assert report["evaluations"] >= report["iterations"] + 1
+
+    @pytest.mark.parametrize(
+        "max_iter, stop_reason",
+        [(200, "converged"), (1, "max_iter reached")],
+        ids=["converged", "max_iter"],
+    )
+    def test_report_writes_stop_reason(self, tmp_path, max_iter, stop_reason):
+        path = tmp_path / "run.ini"
+        text = SMALL_CONFIG.replace("max_iter = 200", f"max_iter = {max_iter}")
+        path.write_text(text)
+        assert run(["optimize"], tmp_path, str(path)) == 0
+        with open(tmp_path / "out" / "optim_JE_Nb1.json") as fh:
+            report = json.load(fh)
+        assert report["stop_reason"] == stop_reason
+        assert report["converged"] is (stop_reason == "converged")
+        assert report["stalled"] is False
 
     def test_random_start_deterministic(self, tmp_path, small_config):
         values = []

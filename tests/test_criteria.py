@@ -309,3 +309,164 @@ def test_make_criterion_dispatch(offline_l2):
     np.testing.assert_array_equal(grad, grad_JE(R, offline_l2))
     value, grad = make_criterion(CriterionKind.JA_L2, offline_l2)(R)
     assert value == pytest.approx(eval_JA(R, offline_l2))
+
+
+# -- bit-identity oracles --------------------------------------------------------
+# The criteria kernels as they were before the hot path was cut to fewer NumPy
+# calls: a second symmetrization before each eigh, expand(R) per reduced
+# matrix, np.sum and np.tensordot. Stalling L-BFGS runs are chaotic under
+# rounding, so the kernels must match these bit for bit, not to a tolerance.
+
+
+def _sym_oracle(M):
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def _reduced_oracle(block, R):
+    I_R = expand(R)
+    return _sym_oracle(I_R.T @ block @ I_R)
+
+
+def _inv_sqrt_oracle(S):
+    vals, vecs = np.linalg.eigh(_sym_oracle(S))
+    return _sym_oracle((vecs * vals[..., None, :] ** -0.5) @ np.swapaxes(vecs, -1, -2))
+
+
+def _diag_blocks_oracle(M):
+    n, m = M.shape[0] // 2, M.shape[1] // 2
+    return M[:n, :m] + M[n:, m:]
+
+
+def ja_oracle(R, offline):
+    m, s, weight = offline.m_a, offline.s_a, offline.weight
+    S_red = _reduced_oracle(s, R)
+    M_red = _reduced_oracle(m, R)
+    S_inv_sqrt = _inv_sqrt_oracle(S_red)
+    S_inv = S_inv_sqrt @ S_inv_sqrt
+    value = -float(weight @ np.sum(S_inv * M_red, axis=(1, 2)))
+    I_R = expand(R)
+    D = m @ I_R @ S_inv - s @ I_R @ (S_inv @ M_red @ S_inv)
+    return value, -2.0 * _diag_blocks_oracle(np.tensordot(weight, D, axes=1))
+
+
+def je_oracle(R, offline):
+    m, s, weight = offline.m_e, offline.s_b, offline.weight
+    S_red = _reduced_oracle(s, R)
+    H_red = _reduced_oracle(m, R)
+    S_inv_sqrt = _inv_sqrt_oracle(S_red)
+    vals, vecs = np.linalg.eigh(_sym_oracle(S_inv_sqrt @ H_red @ S_inv_sqrt))
+    C = S_inv_sqrt @ vecs[..., :2]
+    residual = offline.e_ref - (vals[..., 0] + vals[..., 1])
+    value = float(weight @ residual**2)
+    Ct = np.swapaxes(C, 1, 2)
+    mu = np.stack([vals[..., 0], vals[..., 1]], axis=1)
+    I_R = expand(R)
+    D = m @ I_R @ (C @ Ct) - s @ I_R @ ((C * mu[:, None, :]) @ Ct)
+    coef = weight * residual
+    return value, -4.0 * _diag_blocks_oracle(np.tensordot(coef, D, axes=1))
+
+
+def _assert_bit_identical(kind, R, offline):
+    oracle = je_oracle if kind is CriterionKind.JE else ja_oracle
+    value, grad = make_criterion(kind, offline)(R)
+    expected_value, expected_grad = oracle(R, offline)
+    assert value == expected_value
+    assert np.array_equal(grad, expected_grad)
+
+
+def synthetic_stack(rng, k, n_funcs) -> OfflineStack:
+    """K random configurations with SPD overlaps, laid out as stack_offline
+    lays out its vectors (strided columns of one (K, 3) array)."""
+    size = 2 * n_funcs
+
+    def gram():
+        B = rng.standard_normal((k, 2 * size, size))
+        return _sym_oracle(np.swapaxes(B, 1, 2) @ B)
+
+    columns = (rng.uniform(0.1, 1, k), np.linspace(1.5, 5.0, k), rng.uniform(-1, 1, k))
+    weight, a, e_ref = np.array(list(zip(*columns))).T
+    s_b = gram()
+    return OfflineStack(
+        a=a,
+        weight=weight,
+        e_ref=e_ref,
+        m_a=gram(),
+        s_a=s_b + gram(),
+        m_e=gram(),
+        s_b=s_b,
+    )
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("n_basis", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_reference_stacks(self, kind, n_basis, offline_l2, offline_h1):
+        offline = offline_h1 if kind is CriterionKind.JA_H1 else offline_l2
+        rng = np.random.default_rng(n_basis)
+        _assert_bit_identical(kind, hbs_coefficients(10, n_basis), offline)
+        for _ in range(3):
+            _assert_bit_identical(kind, random_stiefel(rng, 10, n_basis), offline)
+
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_dense_size_stack(self, kind):
+        # the dense benchmark's sizes: K=200 configurations, N=20, N_b=6
+        rng = np.random.default_rng(200)
+        offline = synthetic_stack(rng, 200, 20)
+        _assert_bit_identical(kind, random_stiefel(rng, 20, 6), offline)
+
+
+# -- mirror symmetry -------------------------------------------------------------
+# Reflecting x -> -x maps span(B I_R) to span(B I_DR), D = diag((-1)^k), with
+# the two centres swapped; the grid, V and the FD pair are mirror-symmetric,
+# so J(DR) = J(R) and grad J(DR) = D grad J(R). Over 400 random R the largest
+# gaps were 4.2e-13 relative in J (JA_H1) and 3.1e-12 of max|grad J| in the
+# gradient (JA_L2); the bounds below sit about 25x and 30x above them.
+MIRROR_VALUE_RTOL = 1e-11
+MIRROR_GRAD_RTOL = 1e-10
+
+
+def _mirror(n):
+    return np.diag((-1.0) ** np.arange(n))
+
+
+def _sector_point(rng, n, n_basis):
+    """R on St(n, n_basis) whose span D maps onto itself: each column is
+    even (even k only) or odd (odd k only)."""
+    n_even = int(rng.integers(0, n_basis + 1))
+    R = np.zeros((n, n_basis))
+    for parity, cols in ((0, slice(0, n_even)), (1, slice(n_even, n_basis))):
+        rows = np.arange(parity, n, 2)
+        width = cols.stop - cols.start
+        if width:
+            R[rows, cols] = np.linalg.qr(rng.standard_normal((len(rows), width)))[0]
+    return R[:, rng.permutation(n_basis)]
+
+
+class TestMirrorSymmetry:
+    @pytest.fixture(scope="class")
+    def kernels(self, offline_l2, offline_h1):
+        offline = {CriterionKind.JA_H1: offline_h1}
+        return {
+            kind: make_criterion(kind, offline.get(kind, offline_l2))
+            for kind in CriterionKind
+        }
+
+    @given(seed=st.integers(0, 10_000), n_basis=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_value_invariant(self, kernels, seed, n_basis):
+        R = random_stiefel(np.random.default_rng(seed), 10, n_basis)
+        D = _mirror(10)
+        for kind, vg in kernels.items():
+            j, jd = vg(R)[0], vg(D @ R)[0]
+            assert abs(jd - j) <= MIRROR_VALUE_RTOL * abs(j), kind.value
+
+    @given(seed=st.integers(0, 10_000), n_basis=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_gradient_equivariant_at_sector_point(self, kernels, seed, n_basis):
+        R = _sector_point(np.random.default_rng(seed), 10, n_basis)
+        D = _mirror(10)
+        assert np.allclose(R @ (R.T @ D @ R), D @ R)  # span(DR) = span(R)
+        for kind, vg in kernels.items():
+            G, G_mirror = vg(R)[1], vg(D @ R)[1]
+            gap = np.abs(G_mirror - D @ G).max()
+            assert gap <= MIRROR_GRAD_RTOL * np.abs(G).max(), kind.value

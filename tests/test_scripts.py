@@ -19,7 +19,7 @@ def load_script(name):
 
 
 @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
-def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, cache):
+def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, capsys, cache):
     # one FD solve per configuration serves the L2 and the H1 tables
     calls = []
     solve = reference.solve_ground_pair
@@ -35,12 +35,26 @@ def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, cache):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3 * 4
+    reasons = {
+        ("True", "False"): "converged",
+        ("False", "True"): "line search stalled",
+        ("False", "False"): "max_iter reached",
+    }
     for row in rows:
         assert row["stalled"] in ("True", "False")
+        assert row["stop_reason"] == reasons[row["converged"], row["stalled"]]
         assert float(row["grad_norm"]) >= 0.0
+        assert float(row["seconds"]) > 0.0
         assert int(row["evaluations"]) >= int(row["iterations"]) + 1
         if row["converged"] == "True":
             assert float(row["grad_norm"]) <= 1e-7
+    # the summary line adds up the rows of the CSV
+    summary = capsys.readouterr().out.splitlines()[-2]
+    iterations = sum(int(row["iterations"]) for row in rows)
+    evaluations = sum(int(row["evaluations"]) for row in rows)
+    seconds = sum(float(row["seconds"]) for row in rows)
+    expected = f"total: 12 runs, {iterations} iterations, {evaluations} evaluations, "
+    assert summary == expected + f"{seconds:.3f} s"
 
 
 @pytest.mark.parametrize(

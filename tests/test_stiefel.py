@@ -226,9 +226,12 @@ def per_pair_two_loop(g, history):
     return q
 
 
-@pytest.mark.parametrize("memory", [0, 10])
+# memory 1 and 3 fill up and evict within a few iterations; JA_L2 N_b=4 is a
+# row that stalls in a line search, where rounding decides the path
+@pytest.mark.parametrize("memory", [0, 1, 3, 10])
 @pytest.mark.parametrize(
-    "kind, n_basis", [(CriterionKind.JA_L2, 2), (CriterionKind.JE, 3)]
+    "kind, n_basis",
+    [(CriterionKind.JA_L2, 2), (CriterionKind.JE, 3), (CriterionKind.JA_L2, 4)],
 )
 def test_stacked_transport_matches_per_pair_oracle(offline_l2, kind, n_basis, memory):
     fun = make_criterion(kind, offline_l2)
@@ -241,3 +244,24 @@ def test_stacked_transport_matches_per_pair_oracle(offline_l2, kind, n_basis, me
     assert np.array_equal(report.trajectory, trajectory)
     flags = (report.iterations, report.converged, report.stalled)
     assert flags == (iterations, converged, stalled)
+
+
+@pytest.mark.parametrize("n, n_basis", [(10, 1), (10, 2), (10, 3), (10, 4), (20, 6)])
+def test_two_loop_products_match_each_pair(rng, n, n_basis):
+    # the two-loop recursion takes every y_i . s_i from one reduction over
+    # the stacked memory; each must be the pairwise sum of that pair alone
+    S = rng.standard_normal((10, n, n_basis))
+    Y = S * rng.uniform(0.5, 2.0, S.shape)
+    stacked = np.add.reduce(Y * S, axis=(1, 2))
+    assert all(stacked[i] == np.sum(Y[i] * S[i]) for i in range(len(S)))
+    history = deque(zip(S, Y))
+    g = rng.standard_normal((n, n_basis))
+    assert np.array_equal(stiefel._two_loop(g, S, Y), per_pair_two_loop(g, history))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(10, 1), (10, 4), (20, 6), (7, 7)])
+def test_norm_matches_numpy_norm(rng, shape, order):
+    # minimize's stopping and curvature tests compare against these norms
+    a = np.asarray(rng.standard_normal(shape), order=order)
+    assert stiefel._norm(a) == np.linalg.norm(a)

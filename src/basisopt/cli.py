@@ -38,6 +38,7 @@ from .reference import (
     load_or_build_each,
     stack_offline,
     uniform_measure,
+    write_atomically,
 )
 from .stiefel import OptimSettings, minimize, random_stiefel
 
@@ -114,21 +115,16 @@ def load_config(path: str) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {', '.join(sorted(unknown))}")
     run, settings = {}, {}
-    try:
-        for name in parser.sections():
-            if name == "measure":
-                run["measure"] = _parse_measure(parser[name])
-                continue
-            for key in parser[name]:
-                field_name, read_value = _KEYS[name][key]
-                optim = field_name in OptimSettings.__dataclass_fields__
-                value = _read(parser[name], key, read_value)
-                (settings if optim else run)[field_name] = value
-        cfg = RunConfig(**run, settings=OptimSettings(**settings))
-    except ConfigError:
-        raise  # it names its key already
-    except ValueError as exc:  # a value that a dataclass's own checks reject
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    for name in parser.sections():
+        if name == "measure":
+            run["measure"] = _parse_measure(parser[name])
+            continue
+        for key in parser[name]:
+            field_name, read_value = _KEYS[name][key]
+            optim = field_name in OptimSettings.__dataclass_fields__
+            value = _read(parser[name], key, read_value)
+            (settings if optim else run)[field_name] = value
+    cfg = RunConfig(**run, settings=_checked("optimize", OptimSettings, **settings))
     _validate(cfg)
     return cfg
 
@@ -144,6 +140,14 @@ def _read(section, key: str, read_value, fallback=None):
         raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
 
 
+def _checked(section: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a ValueError becomes a ConfigError naming the section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] invalid value: {exc}") from exc
+
+
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
@@ -152,7 +156,9 @@ def _parse_measure(section) -> Measure:
     kind = section.get("kind", "uniform")
     if kind == "uniform":
         default = default_measure()
-        return uniform_measure(
+        return _checked(
+            "measure",
+            uniform_measure,
             _read(section, "a_min", float, default.points[0]),
             _read(section, "a_max", float, default.a_max),
             _read(section, "count", int, len(default.points)),
@@ -162,7 +168,7 @@ def _parse_measure(section) -> Measure:
             raise ConfigError("[measure] kind = explicit needs points")
         points = _read(section, "points", _floats)
         weights = _read(section, "weights", _floats, (1.0,) * len(points))
-        return Measure(points=points, weights=weights)
+        return _checked("measure", Measure, points=points, weights=weights)
     raise ConfigError(f"[measure] kind: unknown measure kind {kind!r}")
 
 
@@ -192,24 +198,18 @@ def _artifact_grid(cfg: RunConfig) -> dict:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    """Write doc atomically: a failed write leaves the previous file."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    def write(fh):
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+    write_atomically(path, write)
 
 
-def save_artifact(path: str, R: np.ndarray, cfg: RunConfig, report) -> None:
+def save_artifact(path: str, cfg: RunConfig, report) -> None:
     doc = {
         "schema_version": ARTIFACT_SCHEMA,
         "tool_version": __version__,
-        "R": R.tolist(),
+        "R": report.R_opt.tolist(),
         "n_funcs": cfg.n_funcs,
         "n_basis": cfg.n_basis,
         "criterion": cfg.criterion.value,
@@ -250,14 +250,13 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
+    def write(fh):
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(v if isinstance(v, str) else _fmt(v) for v in row)
-                + "\n"
-            )
+            cells = (v if isinstance(v, str) else _fmt(v) for v in row)
+            fh.write(",".join(cells) + "\n")
+
+    write_atomically(path, write)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -289,7 +288,7 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 
     name = f"{cfg.criterion.value}_Nb{cfg.n_basis}"
     artifact_path = os.path.join(cfg.out_dir, f"basis_{name}.json")
-    save_artifact(artifact_path, report.R_opt, cfg, report)
+    save_artifact(artifact_path, cfg, report)
     _write_json(
         os.path.join(cfg.out_dir, f"optim_{name}.json"),
         {

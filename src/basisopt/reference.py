@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -113,7 +112,7 @@ def uniform_measure(a_min: float, a_max: float, count: int) -> Measure:
     return Measure(points=points, weights=(w,) * count)
 
 
-def solve_ground_pair(H: TridiagOperator, grid: Grid) -> GroundPair:
+def solve_ground_pair(H: TridiagOperator) -> GroundPair:
     """Two lowest eigenpairs of the symmetric tridiagonal FD Hamiltonian."""
     import scipy.linalg  # only FD solves need scipy; keep it off start-up
 
@@ -168,7 +167,7 @@ def solve_configuration(
 ) -> SolvedConfiguration:
     H = fd_hamiltonian(grid, a)
     try:
-        pair = solve_ground_pair(H, grid)
+        pair = solve_ground_pair(H)
     except NumericalFailure as exc:
         raise NumericalFailure(f"reference solve failed at a={a}: {exc}") from exc
     if workspace is None:
@@ -315,24 +314,38 @@ def _cache_path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, f"offline_{key}.npz")
 
 
+def write_atomically(path: str, write, mode: str = "w") -> None:
+    """The one way basisopt writes a file: write(fh) fills a new temporary
+    file next to `path`, with the permissions open(path, mode) gives, that
+    then replaces `path`. Interleaved writers leave one complete file, and
+    a failed write leaves the previous file and no temporary file."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    # opened before the try: a name another writer holds is not ours to remove
+    fh = open(tmp, mode.replace("w", "x"))
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_offline_entry(cache_dir: str, grid: Grid, record: OfflineRecord) -> str:
     """Atomically persist one offline record; returns the file path."""
-    os.makedirs(cache_dir, exist_ok=True)
     meta = _entry_meta(grid, record.a, record.s_b.shape[0] // 2)
     path = _cache_path(cache_dir, meta["key"])
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                e_ref=np.float64(record.e_ref),
-                **{name: getattr(record, name) for name in _RECORD_ARRAYS},
-            )
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+
+    def write(fh):
+        np.savez(
+            fh,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            e_ref=np.float64(record.e_ref),
+            **{name: getattr(record, name) for name in _RECORD_ARRAYS},
+        )
+
+    write_atomically(path, write, "wb")
     return path
 
 

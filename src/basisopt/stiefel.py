@@ -50,24 +50,26 @@ class OptimSettings:
 @dataclass(frozen=True)
 class OptimReport:
     R_opt: np.ndarray = field(repr=False)
-    iterations: int
-    converged: bool
     trajectory: np.ndarray = field(repr=False)  # criterion value per iterate
     grad_norm: float  # final tangent-projected gradient norm
     evaluations: int  # value+gradient calls: the initial one and every trial
-    stalled: bool = False  # line search failed before convergence
+    stop_reason: str  # "converged", "line search stalled" or "max_iter reached"
 
     @property
     def final_value(self) -> float:
         return float(self.trajectory[-1])
 
     @property
-    def stop_reason(self) -> str:
-        """Why the run ended: "converged", "line search stalled" or
-        "max_iter reached"."""
-        if self.converged:
-            return "converged"
-        return "line search stalled" if self.stalled else "max_iter reached"
+    def iterations(self) -> int:
+        return len(self.trajectory) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def stalled(self) -> bool:
+        return self.stop_reason == "line search stalled"
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -119,10 +121,11 @@ def minimize(
     trajectory = [f]
     S = Y = np.empty((0, *R.shape))  # the curvature pairs, oldest first
     g_norm = _norm(g)
-    stalled = False
-    it = 0
 
-    while g_norm > settings.grad_tol and it < settings.max_iter:
+    while not g_norm <= settings.grad_tol:  # a NaN norm never converges
+        if len(trajectory) > settings.max_iter:
+            stop_reason = "max_iter reached"
+            break
         direction = -_two_loop(g, S, Y)
         slope = _inner(direction, g)
         if slope > -1e-14 * g_norm * _norm(direction):
@@ -145,7 +148,7 @@ def minimize(
                 break
             step *= 0.5
         if R_new is None:
-            stalled = True
+            stop_reason = "line search stalled"
             break
 
         # project the new gradient and transport the step, the old gradient
@@ -172,16 +175,11 @@ def minimize(
         R, f, g = R_new, f_new, g_new
         g_norm = _norm(g)
         trajectory.append(f)
-        it += 1
+    else:
+        stop_reason = "converged"
 
     return OptimReport(
-        R_opt=R,
-        iterations=it,
-        converged=bool(g_norm <= settings.grad_tol),
-        trajectory=np.asarray(trajectory),
-        grad_norm=float(g_norm),
-        evaluations=evaluations,
-        stalled=stalled,
+        R, np.asarray(trajectory), float(g_norm), evaluations, stop_reason
     )
 
 

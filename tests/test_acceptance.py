@@ -147,7 +147,7 @@ def test_criterion_5_oracle_equivalence(grid_main):
     for a in (1.5, 2.2, 3.0, 4.1, 5.0):
         data = stack_offline([build_offline_single(g, a, 6)], [1.0], "H1")
         B = assemble_dimer(g, a, 6)
-        pair = solve_ground_pair(fd_hamiltonian(g, a), g)
+        pair = solve_ground_pair(fd_hamiltonian(g, a))
         P = np.outer(pair.phi1, pair.phi1) + np.outer(pair.phi2, pair.phi2)
         R = random_stiefel(rng, 6, 2)
         X = B @ expand(R)
@@ -189,7 +189,7 @@ def test_criterion_6_physics_limits(grid_main):
     # is E_ref(a) = 1 - 3/(4a^2) + O(a^-4).
     a = 7.0
     g = build_grid(22.0, 2199)
-    e_ref = solve_ground_pair(fd_hamiltonian(g, a), g).energy
+    e_ref = solve_ground_pair(fd_hamiltonian(g, a)).energy
     expected = 1.0 - 3.0 / (4.0 * a**2)
     report(
         "6 decoupled harmonic wells",

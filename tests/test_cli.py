@@ -184,6 +184,35 @@ class TestConfig:
         assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize(
+        "section, text, reason",
+        [
+            (
+                "measure",
+                "kind = explicit\npoints = 1.5,1.5",
+                "configurations must be strictly increasing",
+            ),
+            ("measure", "count = 0", "count must be >= 1"),
+            (
+                "measure",
+                "kind = explicit\npoints = 1.5,2.0\nweights = 1",
+                "points and weights must have equal length",
+            ),
+            ("optimize", "grad_tol = -1", "grad_tol must be positive and finite"),
+        ],
+        ids=["repeated_point", "zero_count", "one_weight", "negative_grad_tol"],
+    )
+    def test_value_a_dataclass_rejects_names_its_section(
+        self, tmp_path, capsys, section, text, reason
+    ):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{text}\n")
+        assert run(["reference"], tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith(f"configuration error: [{section}] invalid value: ")
+        assert reason in line
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
         "text",
         ["[DEFAULT]\nn_points = 99\n", "[DEFAULT]\nn_points = 99\n[basis]\n"],
         ids=["alone", "next_to_basis"],

@@ -81,7 +81,7 @@ class TestEvalJA:
 
     def test_exact_pair_capture_is_optimal(self, grid_main, rng):
         # augmented basis whose first columns are the FD pair: capture = 2
-        pair = solve_ground_pair(fd_hamiltonian(grid_main, 2.0), grid_main)
+        pair = solve_ground_pair(fd_hamiltonian(grid_main, 2.0))
         pad = hermite_columns(grid_main, 2.0, 2)
         block_plus = np.column_stack([pair.phi1, pad])
         block_minus = np.column_stack([pair.phi2, pad])

@@ -153,7 +153,7 @@ class TestReducedGroundPair:
     def test_ritz_values_bound_fd_values(self, grid_main, offline_l2):
         d = offline_l2
         for a, m_e, s_b in zip(d.a[::3], d.m_e[::3], d.s_b[::3]):
-            fd = solve_ground_pair(fd_hamiltonian(grid_main, a), grid_main)
+            fd = solve_ground_pair(fd_hamiltonian(grid_main, a))
             pair = reduced_ground_pair(m_e, s_b, hbs_coefficients(10, 3))
             assert pair.mu1 >= fd.lambda1 - 1e-10
             assert pair.mu2 >= fd.lambda2 - 1e-10

@@ -74,7 +74,7 @@ class TestMeasure:
 class TestSolveGroundPair:
     def test_orthonormality_and_residual(self, grid_main):
         H = fd_hamiltonian(grid_main, 2.0)
-        pair = solve_ground_pair(H, grid_main)
+        pair = solve_ground_pair(H)
         assert pair.lambda1 <= pair.lambda2
         # unit norm in the sqrt(dx)-scaled convention = dx-orthonormal
         assert abs(pair.phi1 @ pair.phi1 - 1.0) < 1e-10
@@ -85,9 +85,7 @@ class TestSolveGroundPair:
 
     def test_quartic_grid_refinement_oracle(self):
         energies = {
-            n: solve_ground_pair(
-                fd_hamiltonian(build_grid(20.0, n), 0.0), build_grid(20.0, n)
-            ).energy
+            n: solve_ground_pair(fd_hamiltonian(build_grid(20.0, n), 0.0)).energy
             for n in (1999, 3999, 7999)
         }
         # O(dx^2) scheme: Richardson from the two coarser grids lands
@@ -103,7 +101,7 @@ class TestSolveGroundPair:
         devs = {}
         for a, x_max, n_points in [(7.0, 22.0, 2199), (20.0, 35.0, 3499)]:
             g = build_grid(x_max, n_points)
-            pair = solve_ground_pair(fd_hamiltonian(g, a), g)
+            pair = solve_ground_pair(fd_hamiltonian(g, a))
             assert pair.lambda1 == pytest.approx(pair.lambda2, abs=1e-6)
             devs[a] = pair.energy - 1.0
         assert abs(devs[7.0]) < 2e-2
@@ -112,7 +110,7 @@ class TestSolveGroundPair:
             assert dev * a**2 == pytest.approx(-0.75, abs=5e-2)
 
     def test_eigenvector_parity(self, grid_main):
-        pair = solve_ground_pair(fd_hamiltonian(grid_main, 1.8), grid_main)
+        pair = solve_ground_pair(fd_hamiltonian(grid_main, 1.8))
         phi1, phi2 = pair.phi1, pair.phi2
         even = min(
             np.linalg.norm(phi1 - phi1[::-1]), np.linalg.norm(phi1 + phi1[::-1])
@@ -148,7 +146,7 @@ class TestBuildOffline:
 
     def test_full_capture_with_augmented_basis(self, grid_main):
         # basis containing the exact FD pair captures the full trace 2
-        pair = solve_ground_pair(fd_hamiltonian(grid_main, 2.0), grid_main)
+        pair = solve_ground_pair(fd_hamiltonian(grid_main, 2.0))
         extra = hermite_columns(grid_main, 0.0, 2)
         B = np.column_stack([pair.phi1, pair.phi2, extra])
         phis = np.column_stack([pair.phi1, pair.phi2])
@@ -178,7 +176,7 @@ class TestBuildOffline:
         # operators applied to B
         a, n = 2.3, 6
         H = fd_hamiltonian(grid_main, a)
-        pair = solve_ground_pair(H, grid_main)
+        pair = solve_ground_pair(H)
         B = assemble_dimer(grid_main, a, n)
         phis = np.column_stack([pair.phi1, pair.phi2])
 
@@ -251,7 +249,7 @@ class TestBuildOffline:
             data = stack_offline([build_offline_single(g, a, 6)], [1.0], "H1")
             B = assemble_dimer(g, a, 6)
         A = to_dense(h1_metric(g))
-        pair = solve_ground_pair(fd_hamiltonian(g, a), g)
+        pair = solve_ground_pair(fd_hamiltonian(g, a))
         P = np.outer(pair.phi1, pair.phi1) + np.outer(pair.phi2, pair.phi2)
         R = random_stiefel(rng, 6, 2)
         X = B @ expand(R)

@@ -66,14 +66,22 @@ def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, capsys, c
     ],
 )
 def test_run_tables_names_what_ended_a_run(converged, stalled, note):
+    if converged:
+        reason = "converged"
+    else:
+        reason = "line search stalled" if stalled else "max_iter reached"
     result = OptimReport(
         R_opt=np.eye(3, 2),
-        iterations=5,
-        converged=converged,
         trajectory=np.zeros(6),
         grad_norm=2e-5,
         evaluations=7,
-        stalled=stalled,
+        stop_reason=reason,
+    )
+    # the flags and the iteration count derive from the stored reason
+    assert (result.converged, result.stalled, result.iterations) == (
+        converged,
+        stalled,
+        5,
     )
     assert load_script("run_tables")._stop_note(result) == note
 

@@ -140,6 +140,15 @@ class TestMinimize:
         assert report.iterations == 2
         assert report.stop_reason == "max_iter reached"
 
+    def test_nan_gradient_does_not_converge(self, rng):
+        def value_and_grad(R):
+            return float(np.trace(R.T @ R)), np.full(R.shape, np.nan)
+
+        report = minimize(value_and_grad, random_stiefel(rng, 6, 2))
+        assert not report.converged
+        assert report.stop_reason == "line search stalled"
+        assert report.iterations == 0
+
     def test_settings_validation(self):
         for grad_tol in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):

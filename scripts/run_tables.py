@@ -12,6 +12,7 @@ all runs, so the optimizer's hot path can be timed without the benchmark.
 
 import argparse
 import csv
+import io
 import sys
 import time
 
@@ -23,6 +24,7 @@ from basisopt.reference import (
     default_measure,
     load_or_build_each,
     stack_offline,
+    write_atomically,
 )
 from basisopt.stiefel import minimize
 
@@ -82,10 +84,12 @@ def main(argv=None):
         f"{sum(r['seconds'] for r in rows):.3f} s"
     )
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        # csv ends its rows with \r\n itself: write its text as bytes, untranslated
+        text = io.StringIO(newline="")
+        writer = csv.DictWriter(text, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        write_atomically(args.csv, lambda fh: fh.write(text.getvalue().encode()), "wb")
         print(f"wrote {args.csv}")
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .galerkin import lcao_density, reduced_ground_pair
 from .grid import Grid
-from .hermite import hermite_functions
+from .hermite import assemble_dimer, hermite_functions
 from .reference import FDWorkspace, build_offline_single, solve_configuration
 
 
@@ -59,13 +59,17 @@ def curves(bases, a_values, grid: Grid, n_funcs: int) -> list[list[CurvePoint]]:
     """
     out = [[] for _ in bases]
     workspace = FDWorkspace(grid, n_funcs)
+    # the full-grid B of the LCAO densities and its Hermite recurrence rows
+    basis = np.empty((grid.n_points, 2 * n_funcs))
+    rows = np.empty((n_funcs, 2, grid.n_points))
     for a in np.asarray(a_values, dtype=float):
-        fd = solve_configuration(grid, a, n_funcs, workspace)
+        fd = solve_configuration(grid, a)
         record = build_offline_single(grid, a, n_funcs, fd, workspace)
-        rho_ref = (fd.pair.phi1**2 + fd.pair.phi2**2) / grid.dx
+        B = assemble_dimer(grid, a, n_funcs, basis, rows)
+        rho_ref = (fd.phi1**2 + fd.phi2**2) / grid.dx
         for R, curve in zip(bases, out):
             pair = reduced_ground_pair(record.m_e, record.s_b, R, a=a)
-            rho = lcao_density(fd.basis, R, pair.C, grid)
+            rho = lcao_density(B, R, pair.C, grid)
             l1, h1, vw = density_error(rho, rho_ref, grid.dx)
             curve.append(
                 CurvePoint(

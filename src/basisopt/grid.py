@@ -2,7 +2,10 @@
 
 The domain is [-x_max, x_max] with homogeneous Dirichlet conditions; the
 boundary nodes are excluded, so the grid carries n_points interior nodes
-x_j = -x_max + j*dx, j = 1..n_points, dx = 2*x_max / (n_points + 1).
+x_j = (j - (n_points + 1)/2) dx, j = 1..n_points, dx = 2*x_max / (n_points + 1).
+The factor j - (n_points + 1)/2 is an exact integer or half-integer, so the
+grid is mirror-symmetric bit for bit, x_{n+1-j} = -x_j, with x = 0 exactly
+at the centre point of an odd grid; so are V and the FD Hamiltonian.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ def build_grid(x_max: float, n_points: int) -> Grid:
             f"the FD Hamiltonian on [-{x_max}, {x_max}] with {n_points} points "
             "is not finite"
         )
-    points = -x_max + dx * np.arange(1, n_points + 1)
+    points = dx * (np.arange(1, n_points + 1) - 0.5 * (n_points + 1))
     return Grid(x_max=float(x_max), n_points=int(n_points), dx=dx, points=points)
 
 

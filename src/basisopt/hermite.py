@@ -47,6 +47,27 @@ class TailOverflowWarning(UserWarning):
     """Basis function tails not representable inside the Dirichlet box."""
 
 
+def _check_centers(grid: Grid, a: float, n_funcs: int) -> None:
+    """Warn when the tails of the functions at +-a may not fit in the box,
+    and reject a centre outside it.
+
+    The classical turning point of h_{n-1} is ~sqrt(2n - 1); ten more units
+    of Gaussian decay push the tails below double precision. Violations only
+    warn: truncation degrades accuracy, not validity.
+    """
+    if a + np.sqrt(2.0 * n_funcs) + 10.0 >= grid.x_max:
+        warnings.warn(
+            f"Hermite tails for a={a}, n_funcs={n_funcs} may be truncated by "
+            f"the box [-{grid.x_max}, {grid.x_max}]",
+            TailOverflowWarning,
+            stacklevel=3,
+        )
+    if not -grid.x_max < a < grid.x_max:  # the box is symmetric: -a fits too
+        raise ValueError(
+            f"center {a} outside the open box (-{grid.x_max}, {grid.x_max})"
+        )
+
+
 def assemble_dimer(
     grid: Grid,
     a: float,
@@ -64,23 +85,10 @@ def assemble_dimer(
     Both centres run through one Hermite recurrence on contiguous rows,
     shape (n_funcs, 2, n_points), which are scaled and copied once into the
     column layout of B. A C-contiguous `out` receives B and `rows` holds
-    the recurrence when given; the returned array then views `out`.
-
-    The classical turning point of h_{n-1} is ~sqrt(2n - 1); ten more units
-    of Gaussian decay push the tails below double precision. Violations only
-    warn: truncation degrades accuracy, not validity.
+    the recurrence when given; the returned array then views `out`. Tails
+    cut by the box warn, a centre outside it raises ValueError.
     """
-    if a + np.sqrt(2.0 * n_funcs) + 10.0 >= grid.x_max:
-        warnings.warn(
-            f"Hermite tails for a={a}, n_funcs={n_funcs} may be truncated by "
-            f"the box [-{grid.x_max}, {grid.x_max}]",
-            TailOverflowWarning,
-            stacklevel=2,
-        )
-    if not -grid.x_max < a < grid.x_max:  # the box is symmetric: -a fits too
-        raise ValueError(
-            f"center {a} outside the open box (-{grid.x_max}, {grid.x_max})"
-        )
+    _check_centers(grid, a, n_funcs)
     centers = np.array([[a], [-a]], dtype=float)
     rows = hermite_functions(grid.points - centers, n_funcs, rows)
     if out is None:
@@ -94,3 +102,39 @@ def assemble_dimer(
     B = out.view()
     B.setflags(write=False)
     return B
+
+
+def assemble_parity(
+    grid: Grid,
+    a: float,
+    n_funcs: int,
+    out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """The even and odd parts of B_a on the half grid x >= 0, shape
+    (2, n_half, n_funcs) with n_half = n_points - n_points // 2:
+
+        out[0] = sqrt(dx) h_k(x - a) + sqrt(dx) h_k(-x - a)  (even under x -> -x)
+        out[1] = sqrt(dx) h_k(x - a) - sqrt(dx) h_k(-x - a)  (odd)
+
+    at the points x = points[n_points // 2:], the centre x = 0 first on an
+    odd grid. On the mirror-symmetric grid, with P the reflection and
+    D = diag((-1)^k), the -a block of B is P B_+ D, so these are sqrt(2)
+    times E, O = (B_+ +- P B_+) / sqrt(2), and B = [E O] T with
+    T = [[I, D], [I, -D]] / sqrt(2).
+
+    Both arguments run through one Hermite recurrence, rows of shape
+    (n_funcs, 2, n_half), held in `rows` when given; `out`, which may be a
+    strided view, receives the result. The checks are those of
+    assemble_dimer.
+    """
+    _check_centers(grid, a, n_funcs)
+    x = grid.points[grid.n_points // 2 :]
+    rows = hermite_functions(np.array([x - a, -x - a]), n_funcs, rows)
+    np.multiply(np.sqrt(grid.dx), rows, out=rows)
+    if out is None:
+        out = np.empty((2, len(x), n_funcs))
+    plus, minus = rows[:, 0].T, rows[:, 1].T
+    np.add(plus, minus, out=out[0])
+    np.subtract(plus, minus, out=out[1])
+    return out

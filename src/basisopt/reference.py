@@ -13,13 +13,18 @@ measure, with their a, weight and e_ref vectors. stack_offline is the one
 place that maps a metric to the matrices, and load_or_build_each the one
 path through the cache, which holds the measure's records only: a curve
 point builds its record from the FD solve it makes anyway
-(build_offline_single with `fd`).
+(build_offline_single with `pair`).
 
-Every FD build goes through an FDWorkspace, whose grid-size buffers hold
-B, the Hermite recurrence rows then V B, and D B. A loop over
-configurations passes one workspace to every build, so no configuration
-allocates a grid-size array; a build given none makes its own. The records
-own their memory.
+The grid, V and H_FD are mirror-symmetric bit for bit, so the FD layer
+works in the even/odd basis of x -> -x: solve_ground_pair takes phi1
+(even) and phi2 (odd) from two half-size tridiagonals, and
+build_offline_single makes each record from Gram products of the even and
+odd parts of B on the half grid x >= 0, without forming B. Every build goes
+through an FDWorkspace, whose half-grid buffers hold those parts with the
+FD pair, the Hermite recurrence rows, then the differences D of the parts.
+A loop over configurations passes one workspace to every build, so no
+configuration allocates a grid-size array; a build given none makes its
+own. The records own their memory.
 
 H_FD is never applied to B: H_FD = D^T D / (2 dx^2) + diag(V) exactly,
 so m_e = B^T V B + s_lap / 2 reuses the D B of the H1 overlap and avoids
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, TridiagOperator, fd_gradient, fd_hamiltonian, potential
-from .hermite import assemble_dimer
+from .hermite import assemble_parity
 
 METRICS = ("L2", "H1")
 
@@ -112,70 +117,92 @@ def uniform_measure(a_min: float, a_max: float, count: int) -> Measure:
     return Measure(points=points, weights=(w,) * count)
 
 
+_SQRT_HALF = np.sqrt(0.5)
+
+
 def solve_ground_pair(H: TridiagOperator) -> GroundPair:
-    """Two lowest eigenpairs of the symmetric tridiagonal FD Hamiltonian."""
+    """Two lowest eigenpairs of a mirror-symmetric tridiagonal FD
+    Hamiltonian, one from each half-size parity block.
+
+    H is a Jacobi matrix (negative off-diagonal), so its k-th eigenvector
+    has k - 1 sign changes (Gantmacher-Krein oscillation theorem): the
+    ground state is the lowest even eigenvector and the second state the
+    lowest odd one. Each block gives its lowest eigenpair; the two are
+    mirrored to full-grid vectors and checked against the full H.
+    """
     import scipy.linalg  # only FD solves need scipy; keep it off start-up
 
-    try:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            H.diag, H.offdiag, select="i", select_range=(0, 1)
+    d, e, n = H.diag, H.offdiag, len(H.diag)
+    m = n // 2
+    if n % 2:  # the centre point is in the even block only
+        even = d[m:], np.concatenate([[np.sqrt(2.0) * e[m]], e[m + 1 :]])
+        odd = d[m + 1 :], e[m + 1 :]
+    else:  # the centre coupling folds onto the first diagonal entry
+        even, odd = (
+            (np.concatenate([[d[m] + sign * e[m - 1]], d[m + 1 :]]), e[m:])
+            for sign in (1.0, -1.0)
         )
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-    phi1, phi2 = vecs[:, 0], vecs[:, 1]
-    for i, (lam, phi) in enumerate(zip(vals, (phi1, phi2)), start=1):
+    pair = []
+    for sign, (diag, off) in zip((1.0, -1.0), (even, odd)):
+        try:
+            vals, vecs = scipy.linalg.eigh_tridiagonal(
+                diag, off, select="i", select_range=(0, 0)
+            )
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+            raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+        pair.append((float(vals[0]), _mirror(vecs[:, 0], n, sign)))
+    for i, (lam, phi) in enumerate(pair, start=1):
         res = np.linalg.norm(H.matvec(phi) - lam * phi)
         if res > 1e-8:
             raise NumericalFailure(
                 f"eigenpair {i} residual {res:.3e} exceeds 1e-8"
             )
-    return GroundPair(
-        lambda1=float(vals[0]), lambda2=float(vals[1]), phi1=phi1, phi2=phi2
-    )
+    (lambda1, phi1), (lambda2, phi2) = pair
+    return GroundPair(lambda1=lambda1, lambda2=lambda2, phi1=phi1, phi2=phi2)
+
+
+def _mirror(u: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """The unit full-grid vector, even (sign 1) or odd (-1), whose parity
+    block coordinates are u: sqrt(2) times its values at the points x > 0,
+    and its value at the centre point of an odd grid, which an even block
+    holds first."""
+    m = n // 2
+    v = np.empty(n)
+    np.multiply(u, _SQRT_HALF, out=v[n - len(u) :])
+    if n % 2:
+        v[m] = u[0] if len(u) > m else 0.0
+    np.multiply(v[n - m :][::-1], sign, out=v[:m])
+    return v
 
 
 class FDWorkspace:
-    """Grid-size buffers for FD offline builds on one grid with one n_funcs.
+    """Half-grid buffers for FD offline builds on one grid with one n_funcs.
 
-    A loop over configurations makes one and passes it to every solve and
-    build, so no configuration allocates a grid-size array. Records own
-    their memory; a SolvedConfiguration views its workspace.
+    A loop over configurations makes one and passes it to every build, so
+    no configuration allocates a grid-size array. Records own their memory.
     """
 
     def __init__(self, grid: Grid, n_funcs: int):
-        n, m = grid.n_points, 2 * n_funcs
-        self.basis = np.empty((n, m))  # B
-        # the Hermite recurrence rows until B is assembled, then V B
-        self.scratch = np.empty((n, m))
-        self.grad = np.empty((n + 1, m))  # D B
+        half = grid.n_points - grid.n_points // 2
+        # one allocation for both buffers: as two, glibc's malloc reused
+        # them worse, and building the L2 and H1 stacks of K = 200
+        # configurations at 8000 points peaked up to 2.9 MB higher in
+        # resident memory, from run to run
+        buffer = np.empty((2 * half + 1, 2, n_funcs + 1))
+        # rows x >= 0 of sqrt(2) E and sqrt(2) O, each with its FD state as
+        # the last column; then times sqrt(V)
+        self.parts = buffer[:half]
+        # the Hermite recurrence rows until the parts are assembled, then D
+        # applied to the parts
+        self.grad = buffer[half:]
 
 
-@dataclass(frozen=True)
-class SolvedConfiguration:
-    """The FD ground pair and the dimer basis B at one a.
-
-    B is the buffer of the FDWorkspace the solve was made on: it is valid
-    until the next solve on that workspace.
-    """
-
-    pair: GroundPair = field(repr=False)
-    basis: np.ndarray = field(repr=False)
-
-
-def solve_configuration(
-    grid: Grid, a: float, n_funcs: int, workspace: FDWorkspace | None = None
-) -> SolvedConfiguration:
-    H = fd_hamiltonian(grid, a)
+def solve_configuration(grid: Grid, a: float) -> GroundPair:
+    """The FD ground pair at a, its failure tagged with a."""
     try:
-        pair = solve_ground_pair(H)
+        return solve_ground_pair(fd_hamiltonian(grid, a))
     except NumericalFailure as exc:
         raise NumericalFailure(f"reference solve failed at a={a}: {exc}") from exc
-    if workspace is None:
-        workspace = FDWorkspace(grid, n_funcs)
-    rows = workspace.scratch.reshape(n_funcs, 2, grid.n_points)
-    return SolvedConfiguration(
-        pair, assemble_dimer(grid, a, n_funcs, workspace.basis, rows)
-    )
 
 
 @dataclass(frozen=True)
@@ -220,58 +247,107 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 def stack_offline(
     records: Sequence[OfflineRecord], weights: Sequence[float], metric: str
 ) -> OfflineStack:
-    """Stack the records of a measure's configurations for one metric."""
+    """Stack the records of a measure's configurations for one metric.
+
+    Each stack is filled in place, with no per-record temporaries."""
     s_b = np.stack([r.s_b for r in records])
     if metric == "L2":
         gs, s_a = [r.g for r in records], s_b
     elif metric == "H1":
         gs = [r.g + r.g_lap for r in records]
-        s_a = np.stack([r.s_b + r.s_lap for r in records])
+        s_a = np.stack([r.s_lap for r in records])
+        s_a += s_b
     else:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    weight, a, e_ref = np.array(
-        [(float(w), r.a, r.e_ref) for r, w in zip(records, weights)]
-    ).T
+    if len(weights) != len(records):
+        raise ValueError(f"{len(records)} records but {len(weights)} weights")
+    m_a = np.empty_like(s_b)
+    for out, g in zip(m_a, gs):
+        gtg = g.T @ g
+        np.multiply(0.5, gtg + gtg.T, out=out)
+    # three contiguous vectors: a strided one takes another BLAS path, and
+    # its dot products then differ in the last bits from a copy's
     return OfflineStack(
-        a=a,
-        weight=weight,
-        e_ref=e_ref,
-        m_a=np.stack([_symmetrize(g.T @ g) for g in gs]),
+        a=np.array([r.a for r in records]),
+        weight=np.array(weights, dtype=float),
+        e_ref=np.array([r.e_ref for r in records]),
+        m_a=m_a,
         s_a=s_a,
         m_e=np.stack([r.m_e for r in records]),
         s_b=s_b,
     )
 
 
+def _from_parity(even: np.ndarray, odd: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """T^T diag(even, odd) T with T = [[I, D], [I, -D]] / sqrt(2) and
+    D = diag(sign): the 2N x 2N matrix of B = [E O] T from its symmetric
+    even and odd N x N blocks."""
+    n = len(sign)
+    out = np.empty((2 * n, 2 * n))
+    np.multiply(0.5, even + odd, out=out[:n, :n])
+    np.multiply(out[:n, :n], np.outer(sign, sign), out=out[n:, n:])
+    np.multiply(0.5 * sign[:, None], even - odd, out=out[n:, :n])
+    out[:n, n:] = out[n:, :n].T
+    return out
+
+
 def build_offline_single(
     grid: Grid,
     a: float,
     n_funcs: int,
-    fd: SolvedConfiguration | None = None,
+    pair: GroundPair | None = None,
     workspace: FDWorkspace | None = None,
 ) -> OfflineRecord:
     """The offline record of one configuration from one FD solve, or from
-    `fd` when the caller has solved it. The grid-size intermediates live in
-    the buffers of the workspace, a new one when none is given."""
+    `pair` when the caller has solved it.
+
+    B is never formed. With E and O its even and odd parts (hermite.
+    assemble_parity), B = [E O] T, and phi1 is even and phi2 odd, so every
+    record matrix is T^T diag(even block, odd block) T and the blocks are
+    Gram products on the half grid x >= 0. There, with sqrt(2)-scaled
+    values, a point x > 0 stands for itself and its mirror image, and so
+    does a cell of D right of the centre; the centre point of an odd grid
+    and the centre cell of an even grid stand for themselves. The half-grid
+    intermediates live in the buffers of the workspace, a new one when
+    none is given."""
     if workspace is None:
         workspace = FDWorkspace(grid, n_funcs)
-    if fd is None:
-        fd = solve_configuration(grid, a, n_funcs, workspace)
-    B = fd.basis
-    V = potential(a, grid.points)[:, None]
-    VB = np.multiply(V, B, out=workspace.scratch)
-    DB = fd_gradient(B, workspace.grad)
-    phis = np.column_stack([fd.pair.phi1, fd.pair.phi2])
+    if pair is None:
+        pair = solve_configuration(grid, a)
+    n, N = grid.n_points, n_funcs
+    F, DF = workspace.parts, workspace.grad
+    # the Hermite recurrence rows borrow the memory of D F until it is made
+    rows = DF.reshape(-1)[: 2 * N * len(F)].reshape(N, 2, len(F))
+    assemble_parity(grid, a, N, F[..., :N].transpose(1, 0, 2), rows)
+    for p, phi in enumerate((pair.phi1, pair.phi2)):
+        np.multiply(np.sqrt(2.0), phi[n // 2 :], out=F[:, p, N])
+    fd_gradient(F, DF)
+    # DF[0] is the cell left of the half grid. For the even part it mirrors
+    # DF[1] (odd grid) or is the centre cell, where E is flat (even grid):
+    # it is left out. For the odd part it is zero (odd grid) or the centre
+    # cell, which stands for itself alone (even grid).
+    DF[0, 1] *= np.sqrt(2.0)
+    cells = (DF[1:, 0], DF[:, 1])
+    if n % 2:
+        F[0, 0] *= _SQRT_HALF  # the centre point stands for itself alone
     inv_dx2 = 1.0 / grid.dx**2
-    s_lap = _symmetrize(DB.T @ DB) * inv_dx2
+    grams = [(F[:, p].T @ F[:, p], (c.T @ c) * inv_dx2) for p, c in enumerate(cells)]
+    F *= np.sqrt(potential(a, grid.points[n // 2 :]))[:, None, None]  # V >= 0
+    blocks = []  # per part: phi^T B, phi^T (-Laplacian) B, s_b, m_e, s_lap
+    for p, (gram, lap) in enumerate(grams):
+        s_lap = _symmetrize(lap[:N, :N])
+        m_e = _symmetrize(F[:, p, :N].T @ F[:, p, :N]) + 0.5 * s_lap
+        blocks.append((gram[N, :N], lap[N, :N], _symmetrize(gram[:N, :N]), m_e, s_lap))
+    (g1, g1_lap, *even), (g2, g2_lap, *odd) = blocks
+    sign = (-1.0) ** np.arange(N)
+    # Phi^T B = [[g1, 0], [0, g2]] T, and likewise with the Laplacian
+    g, g_lap = (
+        _SQRT_HALF * np.array([[*x, *(x * sign)], [*y, *(-y * sign)]])
+        for x, y in ((g1, g2), (g1_lap, g2_lap))
+    )
+    s_b, m_e, s_lap = (_from_parity(x, y, sign) for x, y in zip(even, odd))
     return OfflineRecord(
-        a=float(a),
-        e_ref=fd.pair.energy,
-        g=phis.T @ B,
-        g_lap=(fd_gradient(phis).T @ DB) * inv_dx2,
-        s_b=_symmetrize(B.T @ B),
-        m_e=_symmetrize(B.T @ VB) + 0.5 * s_lap,
-        s_lap=s_lap,
+        a=float(a), e_ref=pair.energy, g=g, g_lap=g_lap, s_b=s_b, m_e=m_e, s_lap=s_lap
     )
 
 
@@ -290,7 +366,7 @@ def build_offline(
 
 # -- offline cache -----------------------------------------------------------
 
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 
 def _entry_meta(grid: Grid, a: float, n_funcs: int) -> dict:

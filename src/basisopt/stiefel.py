@@ -53,7 +53,9 @@ class OptimReport:
     trajectory: np.ndarray = field(repr=False)  # criterion value per iterate
     grad_norm: float  # final tangent-projected gradient norm
     evaluations: int  # value+gradient calls: the initial one and every trial
-    stop_reason: str  # "converged", "line search stalled" or "max_iter reached"
+    # "converged", "line search stalled", "max_iter reached" or
+    # "non-finite value or gradient"
+    stop_reason: str
 
     @property
     def final_value(self) -> float:
@@ -111,8 +113,10 @@ def minimize(
     """L-BFGS with backtracking Armijo line search on the Stiefel manifold.
 
     `value_and_grad(R)` must return the criterion value and its Euclidean
-    gradient; projection onto the tangent space happens here. An R0 with
-    more columns than rows raises ValueError.
+    gradient; projection onto the tangent space happens here. A NaN or
+    infinite value or gradient at an accepted iterate, the start included,
+    ends the run at once. An R0 with more columns than rows raises
+    ValueError.
     """
     R = retract(R0, np.zeros_like(R0))  # guard against slightly infeasible R0
     f, G = value_and_grad(R)
@@ -122,7 +126,10 @@ def minimize(
     S = Y = np.empty((0, *R.shape))  # the curvature pairs, oldest first
     g_norm = _norm(g)
 
-    while not g_norm <= settings.grad_tol:  # a NaN norm never converges
+    while math.isfinite(f) and math.isfinite(g_norm):
+        if g_norm <= settings.grad_tol:
+            stop_reason = "converged"
+            break
         if len(trajectory) > settings.max_iter:
             stop_reason = "max_iter reached"
             break
@@ -176,7 +183,7 @@ def minimize(
         g_norm = _norm(g)
         trajectory.append(f)
     else:
-        stop_reason = "converged"
+        stop_reason = "non-finite value or gradient"
 
     return OptimReport(
         R, np.asarray(trajectory), float(g_norm), evaluations, stop_reason

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from basisopt.criteria import CriterionKind, make_criterion
 from basisopt.galerkin import hbs_coefficients
-from basisopt.grid import TridiagOperator, build_grid
-from basisopt.hermite import hermite_functions
-from basisopt.reference import build_offline, default_measure
+from basisopt.grid import (
+    TridiagOperator,
+    build_grid,
+    fd_gradient,
+    fd_hamiltonian,
+    potential,
+)
+from basisopt.hermite import assemble_dimer, hermite_functions
+from basisopt.reference import OfflineRecord, build_offline, default_measure
 from basisopt.stiefel import OptimSettings, minimize
 
 
@@ -30,6 +37,33 @@ def hermite_columns(grid, center: float, n_funcs: int) -> np.ndarray:
     on the grid as columns scaled by sqrt(dx): one centre's block of
     `assemble_dimer`, from its own recurrence call."""
     return np.sqrt(grid.dx) * hermite_functions(grid.points - center, n_funcs).T
+
+
+def full_grid_record(grid, a: float, n_funcs: int) -> OfflineRecord:
+    """The offline record from one full-size eigensolve and the full-grid
+    B = assemble_dimer(grid, a, n_funcs): the build formulas without the
+    parity split."""
+    H = fd_hamiltonian(grid, a)
+    vals, phis = scipy.linalg.eigh_tridiagonal(
+        H.diag, H.offdiag, select="i", select_range=(0, 1)
+    )
+    B = assemble_dimer(grid, a, n_funcs)
+    DB = fd_gradient(B)
+    inv_dx2 = 1.0 / grid.dx**2
+
+    def sym(m):
+        return 0.5 * (m + m.T)
+
+    s_lap = sym(DB.T @ DB) * inv_dx2
+    return OfflineRecord(
+        a=float(a),
+        e_ref=float(vals[0] + vals[1]),
+        g=phis.T @ B,
+        g_lap=(fd_gradient(phis).T @ DB) * inv_dx2,
+        s_b=sym(B.T @ B),
+        m_e=sym(B.T @ (potential(a, grid.points)[:, None] * B)) + 0.5 * s_lap,
+        s_lap=s_lap,
+    )
 
 
 # -- fixtures ------------------------------------------------------------------

@@ -577,7 +577,7 @@ class TestStartupAndSolves:
             return assemble(*args, **kwargs)
 
         monkeypatch.setattr(cli, "assemble_dimer", counted)
-        monkeypatch.setattr(reference, "assemble_dimer", counted)
+        monkeypatch.setattr(evaluate, "assemble_dimer", counted)
         path = tmp_path / "rep.ini"
         path.write_text(SMALL_CONFIG + "\n[report]\ncurve_points = 4\n")
         assert run(["report", "--hbs", "1", "--hbs", "2"], tmp_path, str(path)) == 0

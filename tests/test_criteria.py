@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -413,6 +414,21 @@ class TestBitIdentity:
         rng = np.random.default_rng(200)
         offline = synthetic_stack(rng, 200, 20)
         _assert_bit_identical(kind, random_stiefel(rng, 20, 6), offline)
+
+
+@pytest.mark.parametrize("kind", list(CriterionKind))
+def test_pickled_stack_gives_the_same_bits(kind, offline_l2, offline_h1):
+    # a stack's vectors are contiguous, so a copy of it, such as a pickle
+    # round trip makes, takes the same BLAS paths
+    offline = offline_h1 if kind is CriterionKind.JA_H1 else offline_l2
+    copy = pickle.loads(pickle.dumps(offline))
+    rng = np.random.default_rng(7)
+    for n_basis in (1, 2, 3, 4):
+        for R in (hbs_coefficients(10, n_basis), random_stiefel(rng, 10, n_basis)):
+            value, grad = make_criterion(kind, offline)(R)
+            value_copy, grad_copy = make_criterion(kind, copy)(R)
+            assert value_copy == value, (n_basis, value_copy - value)
+            assert np.array_equal(grad_copy, grad), n_basis
 
 
 # -- mirror symmetry -------------------------------------------------------------

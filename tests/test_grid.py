@@ -33,6 +33,18 @@ class TestBuildGrid:
         assert np.all(np.diff(g.points) > 0)
         np.testing.assert_allclose(g.points, -g.points[::-1], atol=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4, 1999, 2000, 8000, 8001])
+    @pytest.mark.parametrize("x_max", [1.0, 7.3, 20.0, 25.0])
+    def test_points_mirror_symmetric_bit_for_bit(self, x_max, n):
+        # x_{n+1-j} = -x_j exactly and x = 0 at the centre of an odd grid,
+        # so V and the diagonal of H_FD are exactly mirror-symmetric too
+        g = build_grid(x_max, n)
+        assert np.array_equal(g.points, -g.points[::-1])
+        if n % 2:
+            assert g.points[n // 2] == 0.0
+        diag = fd_hamiltonian(g, 1.5).diag
+        assert np.array_equal(diag, diag[::-1])
+
     @pytest.mark.parametrize(
         "x_max,n",
         [(0.0, 10), (-1.0, 10), (2.0, 2), (2.0, 0), (np.nan, 10), (np.inf, 10)],

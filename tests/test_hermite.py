@@ -8,8 +8,10 @@ from basisopt.grid import TridiagOperator, build_grid
 from basisopt.hermite import (
     TailOverflowWarning,
     assemble_dimer,
+    assemble_parity,
     hermite_functions,
 )
+from basisopt.reference import build_offline_single
 from conftest import hermite_columns
 
 
@@ -165,3 +167,27 @@ def test_center_outside_box_rejected():
 def test_n_funcs_validated():
     with pytest.raises(ValueError):
         hermite_functions(np.zeros(3), 0)
+
+
+@pytest.mark.parametrize("n_points", [1999, 2000])
+def test_parity_parts_are_the_mirror_combinations_of_the_dimer(n_points):
+    # with B_- = P B_+ D, the parts are B_+ +- P B_+ on x >= 0, bit for bit
+    g = build_grid(20.0, n_points)
+    B = assemble_dimer(g, 1.7, 10)
+    plus, mirrored = B[n_points // 2 :, :10], B[::-1][n_points // 2 :, :10]
+    parts = assemble_parity(g, 1.7, 10)
+    np.testing.assert_array_equal(parts[0], plus + mirrored)
+    np.testing.assert_array_equal(parts[1], plus - mirrored)
+    np.testing.assert_array_equal(
+        B[:, 10:], B[::-1, :10] * (-1.0) ** np.arange(10)
+    )
+
+
+def test_parity_path_keeps_the_dimer_checks():
+    g = build_grid(5.0, 99)
+    with pytest.warns(TailOverflowWarning), pytest.raises(ValueError):
+        assemble_parity(g, 6.0, 3)
+    with pytest.warns(TailOverflowWarning), pytest.raises(ValueError):
+        build_offline_single(g, 6.0, 3)
+    with pytest.warns(TailOverflowWarning):
+        build_offline_single(build_grid(10.0, 999), 5.0, 10)

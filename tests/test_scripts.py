@@ -86,6 +86,31 @@ def test_run_tables_names_what_ended_a_run(converged, stalled, note):
     assert load_script("run_tables")._stop_note(result) == note
 
 
+def test_run_tables_csv_into_a_missing_directory(tmp_path, monkeypatch):
+    # the CSV goes through the atomic writer: the directory is made, no
+    # temporary file is left, and the rows end in csv's own \r\n
+    module = load_script("run_tables")
+    monkeypatch.setattr(
+        module,
+        "minimize",
+        lambda fun, R0: OptimReport(R0, np.zeros(1), 0.0, 1, "converged"),
+    )
+    out = tmp_path / "missing" / "deeper" / "tables.csv"
+    assert module.main(["--n-points", "399", "--n-funcs", "4", "--csv", str(out)]) == 0
+    assert os.listdir(out.parent) == ["tables.csv"]
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 12
+    # byte for byte what csv writes to a file opened with newline=""
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert out.read_bytes() == expected.read_bytes()
+    assert out.read_bytes().count(b"\r\n") == 13
+
+
 def test_sampling_study_one_curve_pass(monkeypatch, capsys):
     # 5 training configurations, then one solve per curve point for the
     # HBS start and the three trained bases together

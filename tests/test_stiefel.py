@@ -146,8 +146,23 @@ class TestMinimize:
 
         report = minimize(value_and_grad, random_stiefel(rng, 6, 2))
         assert not report.converged
-        assert report.stop_reason == "line search stalled"
+        assert report.stop_reason == "non-finite value or gradient"
         assert report.iterations == 0
+        assert report.evaluations == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_value_ends_the_run(self, rng, bad):
+        report = minimize(lambda R: (bad, np.ones_like(R)), random_stiefel(rng, 6, 2))
+        assert report.stop_reason == "non-finite value or gradient"
+        assert report.evaluations == 1
+
+    def test_accepted_step_to_minus_infinity_ends_the_run(self, rng):
+        values = iter([1.0, -np.inf])
+        report = minimize(
+            lambda R: (next(values), np.ones_like(R)), random_stiefel(rng, 6, 2)
+        )
+        assert report.stop_reason == "non-finite value or gradient"
+        assert (report.iterations, report.evaluations) == (1, 2)
 
     def test_settings_validation(self):
         for grad_tol in (0.0, np.nan, np.inf):

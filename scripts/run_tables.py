@@ -7,7 +7,8 @@ iteration counts and, for a run that did not converge, whether a
 line-search stall or max_iter ended it. The CSV also records each run's
 stop reason, stalled flag, final gradient norm, value+gradient evaluations
 and wall time. A last line sums the iterations, evaluations and seconds of
-all runs, so the optimizer's hot path can be timed without the benchmark.
+all runs and counts the converged ones, so the optimizer's hot path can be
+timed and judged without the benchmark.
 """
 
 import argparse
@@ -81,7 +82,8 @@ def main(argv=None):
     print(
         f"total: {len(rows)} runs, {sum(r['iterations'] for r in rows)} iterations, "
         f"{sum(r['evaluations'] for r in rows)} evaluations, "
-        f"{sum(r['seconds'] for r in rows):.3f} s"
+        f"{sum(r['seconds'] for r in rows):.3f} s; "
+        f"{sum(r['converged'] for r in rows)} of {len(rows)} converged"
     )
     if args.csv:
         # csv ends its rows with \r\n itself: write its text as bytes, untranslated

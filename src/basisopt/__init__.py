@@ -1,8 +1,9 @@
 """Optimal atom-centered basis sets for a 1D double-well diatomic model.
 
 Minimizes density-matrix-projection and energy-error criteria over the
-Stiefel manifold of coefficient matrices expressed in a truncated Hermite
-function basis, against 3-point finite-difference references. The modules
+spans of orthonormal coefficient matrices (the Grassmannian) expressed in a
+truncated Hermite function basis, against 3-point finite-difference
+references. The modules
 are the API: grid, hermite, reference, galerkin, criteria, stiefel,
 evaluate and cli.
 """

@@ -239,6 +239,20 @@ def load_artifact(path: str) -> dict:
         raise ConfigError(f"unsupported artifact schema in {path}")
     if not {"n_funcs", "n_basis", "criterion", "grid"} <= doc.keys():
         raise ConfigError(f"artifact {path} lacks n_funcs, n_basis, criterion or grid")
+    # the label f"{criterion}_Nb{n_basis}" names the report's files
+    kinds = [kind.value for kind in CriterionKind]
+    if doc["criterion"] not in kinds:
+        raise ConfigError(
+            f"artifact {path} has criterion {doc['criterion']!r}, "
+            f"not one of {', '.join(kinds)}"
+        )
+    n_basis, n_funcs = doc["n_basis"], doc["n_funcs"]
+    # type(...) is int rejects JSON's true and 2.0, which compare equal to 1 and 2
+    if not (type(n_basis) is type(n_funcs) is int and 1 <= n_basis <= n_funcs):
+        raise ConfigError(
+            f"artifact {path} needs integers 1 <= n_basis <= n_funcs, "
+            f"got {n_basis!r}, {n_funcs!r}"
+        )
     return doc
 
 
@@ -333,7 +347,12 @@ def _bases(cfg: RunConfig, args) -> list[tuple[str, np.ndarray]]:
                 f"(n_funcs, n_basis) = {shape})"
             )
         bases.append((label, doc["R"]))
-    return bases + [(f"HBS_Nb{nb}", hbs_coefficients(cfg.n_funcs, nb)) for nb in hbs]
+    bases += [(f"HBS_Nb{nb}", hbs_coefficients(cfg.n_funcs, nb)) for nb in hbs]
+    labels = [label for label, _ in bases]
+    for label in labels:
+        if labels.count(label) > 1:  # its table rows and CSV files would clash
+            raise ConfigError(f"basis {label} is given more than once")
+    return bases
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:

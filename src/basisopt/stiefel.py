@@ -1,14 +1,12 @@
-"""Riemannian L-BFGS over the Stiefel manifold St(N, N_b).
+"""Riemannian L-BFGS on the Grassmannian Gr(N, N_b), in Stiefel coordinates.
 
-Geometry: tangent projection G - R sym(R^T G), QR retraction with
-sign-fixed R factor, vector transport by projection onto the new tangent
-space. After each accepted step one `tangent_project` call on a stacked
-(4 + 2k, N, N_b) array projects the new gradient, the old gradient, the
-k stored steps and the new one and the k stored gradient changes at once;
-each slice of the result is bit for bit the projection of that matrix
-alone. The curvature memory is two (k, N, N_b) slices of the projected
-stack, so the two-loop recursion runs on transported tangent vectors;
-curvature pairs failing the positivity check are dropped.
+The criteria depend on R only through span(R), J(RM) = J(R), so only the
+horizontal part G - R (R^T G) of a gradient matters. The QR retraction fixes
+the signs of its R factor, so consecutive iterates agree in column signs and
+the memory holds raw pairs s = step * direction, y = g_new - g, with no
+vector transport; pairs failing the positivity check are dropped. Each step
+projects the two-loop output, which makes the direction horizontal at R,
+and the new gradient.
 """
 
 from __future__ import annotations
@@ -74,15 +72,10 @@ class OptimReport:
         return self.stop_reason == "line search stalled"
 
 
-def sym(M: np.ndarray) -> np.ndarray:
-    """Symmetric part of a matrix, or of each matrix in a stack."""
-    return 0.5 * (M + M.swapaxes(-1, -2))
-
-
 def tangent_project(R: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Project a Euclidean gradient, or a (k, N, N_b) stack of them, onto
-    the tangent space at R."""
-    return G - R @ sym(R.T @ G)
+    """Project a Euclidean gradient onto the horizontal space at R, the
+    directions orthogonal to span(R)."""
+    return G - R @ (R.T @ G)
 
 
 def retract(R: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -110,10 +103,10 @@ def minimize(
     R0: np.ndarray,
     settings: OptimSettings = OptimSettings(),
 ) -> OptimReport:
-    """L-BFGS with backtracking Armijo line search on the Stiefel manifold.
+    """L-BFGS with backtracking Armijo line search on the Grassmannian.
 
     `value_and_grad(R)` must return the criterion value and its Euclidean
-    gradient; projection onto the tangent space happens here. A NaN or
+    gradient; projection onto the horizontal space happens here. A NaN or
     infinite value or gradient at an accepted iterate, the start included,
     ends the run at once. An R0 with more columns than rows raises
     ValueError.
@@ -133,7 +126,7 @@ def minimize(
         if len(trajectory) > settings.max_iter:
             stop_reason = "max_iter reached"
             break
-        direction = -_two_loop(g, S, Y)
+        direction = -tangent_project(R, _two_loop(g, S, Y))
         slope = _inner(direction, g)
         if slope > -1e-14 * g_norm * _norm(direction):
             direction = -g  # not a descent direction; restart from steepest
@@ -158,26 +151,14 @@ def minimize(
             stop_reason = "line search stalled"
             break
 
-        # project the new gradient and transport the step, the old gradient
-        # and the stored pairs to the new tangent space, all in one call on
-        # the stack [G_cand, g, S, step, Y, slot for the new gradient change]
-        k = len(S)
-        # zeros, not empty: the last slot is projected before y fills it
-        stack = np.zeros((2 * k + 4, *R.shape))
-        stack[0] = G_cand
-        stack[1] = g
-        stack[2 : 2 + k] = S
-        np.multiply(direction, step, out=stack[2 + k])
-        stack[3 + k : 3 + 2 * k] = Y
-        projected = tangent_project(R_new, stack)
-        g_new, s = projected[0], projected[2 + k]
-        y = np.subtract(g_new, projected[1], out=projected[-1])
+        g_new = tangent_project(R_new, G_cand)
+        s = step * direction
+        y = g_new - g
         if _inner(s, y) > 1e-14 * _norm(s) * _norm(y):
             # a full memory drops its oldest pair
-            first = max(0, k + 1 - settings.lbfgs_memory)
-            S, Y = projected[2 + first : 3 + k], projected[3 + k + first :]
-        else:
-            S, Y = projected[2 : 2 + k], projected[3 + k : 3 + 2 * k]
+            first = max(0, len(S) + 1 - settings.lbfgs_memory)
+            S = np.concatenate((S, s[None]))[first:]
+            Y = np.concatenate((Y, y[None]))[first:]
 
         R, f, g = R_new, f_new, g_new
         g_norm = _norm(g)

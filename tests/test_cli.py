@@ -74,7 +74,7 @@ def artifact_doc(cfg, n_basis):
         "R": hbs_coefficients(cfg.n_funcs, n_basis).tolist(),
         "n_funcs": cfg.n_funcs,
         "n_basis": n_basis,
-        "criterion": "HBS",
+        "criterion": "JE",
         "grid": {"x_max": cfg.grid().x_max, "n_points": cfg.n_points},
     }
 
@@ -518,6 +518,71 @@ class TestEvaluateReport:
         path.write_text(json.dumps(doc))
         code = run(["evaluate", str(path), "--hbs", "1"], tmp_path, small_config)
         assert code == 2
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize(
+        "criterion",
+        ["/../../escaped/x", "not-a-criterion", "je", None, 3],
+        ids=["path", "unknown", "lowercase", "null", "number"],
+    )
+    def test_artifact_criterion_outside_the_kinds_is_config_error(
+        self, tmp_path, small_config, capsys, command, criterion
+    ):
+        # the label names the report's files: "/../../escaped/x" would put
+        # them outside --out
+        doc = artifact_doc(load_config(small_config), 1)
+        doc["criterion"] = criterion
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run([command, str(path)], tmp_path, small_config) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error:") and "criterion" in line
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "escaped").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize(
+        "n_basis, n_funcs, columns",
+        [(0, 5, 0), (6, 5, 6), (True, 5, 1), (1.0, 5, 1), ("1", 5, 1), (1, 5.0, 1)],
+        ids=["zero", "above-n_funcs", "bool", "float", "string", "float-n_funcs"],
+    )
+    def test_artifact_n_basis_outside_range_is_config_error(
+        self, tmp_path, small_config, capsys, command, n_basis, n_funcs, columns
+    ):
+        doc = artifact_doc(load_config(small_config), 1)
+        doc.update(R=[[0.0] * columns] * 5, n_basis=n_basis, n_funcs=n_funcs)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run([command, str(path)], tmp_path, small_config) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error:")
+        assert "1 <= n_basis <= n_funcs" in line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize(
+        "twice", ["same-file", "same-label", "hbs"], ids=str
+    )
+    def test_duplicate_basis_label_is_config_error(
+        self, tmp_path, small_config, capsys, command, twice
+    ):
+        # one label per row of the table and per set of report files
+        doc = artifact_doc(load_config(small_config), 1)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps(doc))
+        doc["R"][0][0] = -1.0  # another basis with the same criterion and N_b
+        second.write_text(json.dumps(doc))
+        args = {
+            "same-file": [str(first), str(first)],
+            "same-label": [str(first), str(second)],
+            "hbs": ["--hbs", "1", "--hbs", "1"],
+        }[twice]
+        assert run([command, *args], tmp_path, small_config) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error:")
+        assert ("HBS_Nb1" if twice == "hbs" else "JE_Nb1") in line
+        assert not (tmp_path / "out").exists()
 
 
 class TestStartupAndSolves:

@@ -53,8 +53,9 @@ def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, capsys, c
     iterations = sum(int(row["iterations"]) for row in rows)
     evaluations = sum(int(row["evaluations"]) for row in rows)
     seconds = sum(float(row["seconds"]) for row in rows)
+    converged = sum(row["converged"] == "True" for row in rows)
     expected = f"total: 12 runs, {iterations} iterations, {evaluations} evaluations, "
-    assert summary == expected + f"{seconds:.3f} s"
+    assert summary == expected + f"{seconds:.3f} s; {converged} of 12 converged"
 
 
 @pytest.mark.parametrize(

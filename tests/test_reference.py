@@ -7,7 +7,7 @@ import pytest
 
 from basisopt import reference
 from basisopt.galerkin import hbs_coefficients, reduced_ground_pair
-from basisopt.grid import build_grid, fd_hamiltonian
+from basisopt.grid import TridiagOperator, build_grid, fd_hamiltonian
 from basisopt.hermite import assemble_dimer
 from basisopt.reference import (
     METRICS,
@@ -145,6 +145,124 @@ class TestSolveGroundPair:
         )
         assert np.linalg.norm(phi2 + phi2[::-1]) == pytest.approx(odd)
         assert odd < 1e-8
+
+    @pytest.mark.parametrize("n_points", [3, 4, 5, 6])
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_smallest_grids_match_dense(self, n_points, a):
+        # at 3 points the odd block is 1 x 1 with no off-diagonal
+        H = fd_hamiltonian(build_grid(4.0, n_points), a)
+        dense = to_dense(H)
+        lowest = np.linalg.eigvalsh(dense)[:2]
+        pair = solve_ground_pair(H)
+        tol = 1e-15 * np.abs(dense).sum(axis=1).max()
+        assert abs(pair.lambda1 - lowest[0]) <= tol
+        assert abs(pair.lambda2 - lowest[1]) <= tol
+        for lam, phi in [(pair.lambda1, pair.phi1), (pair.lambda2, pair.phi2)]:
+            assert np.linalg.norm(dense @ phi - lam * phi) <= tol
+
+    @pytest.mark.parametrize(
+        "where, index, value",
+        [("diag", 7, np.nan), ("offdiag", 7, np.nan), ("diag", 50, np.inf)],
+    )
+    def test_non_finite_hamiltonian_fails_closed(self, where, index, value):
+        # index 7 of a 101-point H lies in the half the parity split discards
+        H = fd_hamiltonian(build_grid(20.0, 101), 1.5)
+        arrays = {"diag": H.diag.copy(), "offdiag": H.offdiag.copy()}
+        arrays[where][index] = value
+        with pytest.raises(reference.NumericalFailure, match="not finite"):
+            solve_ground_pair(TridiagOperator(**arrays))
+
+    def test_nan_residual_fails_closed(self, monkeypatch):
+        # NaN > 1e-8 is False: the residual check must not let it through
+        H = fd_hamiltonian(build_grid(20.0, 101), 1.5)
+        monkeypatch.setattr(
+            reference, "_lowest_eigenpair", lambda d, e: (np.nan, np.ones(len(d)))
+        )
+        with pytest.raises(reference.NumericalFailure, match="residual nan"):
+            solve_ground_pair(H)
+
+
+def _two_wells(delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """A Jacobi block of a narrow well (one deep site) and a broad one (a
+    free chain), joined by a weak link; the narrow well's level lies delta
+    below the broad well's. The all-ones start overlaps the broad state
+    more, so the first shifts rho - eta lie between the two levels."""
+    broad, narrow = np.full(25, 2.0), np.full(25, 10.0)
+    narrow[12] = 0.0
+    chain = np.full(24, -1.0)
+    gap = np.linalg.eigvalsh(_dense(broad, chain))[0] - np.linalg.eigvalsh(
+        _dense(narrow, chain)
+    )[0]
+    return np.concatenate([broad, narrow + gap - delta]), np.concatenate(
+        [chain, [-1e-3], chain]
+    )
+
+
+def _dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return to_dense(TridiagOperator(diag=d, offdiag=e))
+
+
+class TestLowestEigenpair:
+    """The certified inverse iteration on Jacobi blocks built to take its
+    fallback and slow paths, against dense eigh."""
+
+    @pytest.fixture
+    def lapack_calls(self, monkeypatch):
+        """Records dpttrf's info and each dpttrs call."""
+        import scipy.linalg.lapack as lapack
+
+        calls = []
+        factor, solve = lapack.dpttrf, lapack.dpttrs
+
+        def dpttrf(d, e):
+            *factors, info = factor(d, e)
+            calls.append(("factor", info))
+            return (*factors, info)
+
+        def dpttrs(*args):
+            calls.append(("solve", 0))
+            return solve(*args)
+
+        monkeypatch.setattr(lapack, "dpttrf", dpttrf)
+        monkeypatch.setattr(lapack, "dpttrs", dpttrs)
+        return calls
+
+    @staticmethod
+    def check_against_dense(d, e, vector_tol):
+        lam, x = reference._lowest_eigenpair(d, e)
+        dense = _dense(d, e)
+        vals, vecs = np.linalg.eigh(dense)
+        norm = np.abs(dense).sum(axis=1).max()
+        assert abs(lam - vals[0]) <= 1e-15 * norm
+        assert (x > 0).all()
+        v = vecs[:, 0] * np.sign(vecs[:, 0].sum())
+        assert np.abs(x - v).max() <= vector_tol
+
+    def test_rejected_shift_falls_back(self, lapack_calls):
+        # the all-ones start barely overlaps the state on the low site, so
+        # rho - eta lies far above lambda_min and fails to factor
+        d, e = np.full(50, 10.0), np.full(49, -1.0)
+        d[37] = 0.0
+        self.check_against_dense(d, e, 1e-14)
+        infos = [info for kind, info in lapack_calls if kind == "factor"]
+        assert infos[0] > 0 and infos[1] == 0  # then the Gershgorin shift
+
+    def test_close_lowest_pair_converges(self, lapack_calls):
+        # a gap of 1e-6: the rejected shifts keep the iteration slow for a
+        # while; the vector is determined to about eps |T| / gap
+        d, e = _two_wells(1e-6)
+        self.check_against_dense(d, e, 1e-9)
+        assert any(kind == "factor" and info > 0 for kind, info in lapack_calls)
+        solves = sum(kind == "solve" for kind, _ in lapack_calls)
+        assert 20 < solves < reference._MAX_STEPS
+
+    def test_step_cap_fails_closed(self, lapack_calls):
+        # a gap of 1e-7: every shift between the levels fails, and the last
+        # one that passed converges too slowly to meet the stop rule
+        d, e = _two_wells(1e-7)
+        with pytest.raises(reference.NumericalFailure, match="50 steps"):
+            reference._lowest_eigenpair(d, e)
+        assert sum(kind == "solve" for kind, _ in lapack_calls) == 50
 
 
 class TestBuildOffline:
@@ -435,8 +553,9 @@ class TestWorkspace:
     )
     @pytest.mark.parametrize("a", [1.5, 2.7, 5.0])
     def test_records_match_the_full_grid_oracle(self, x_max, n_points, n_funcs, a):
-        # measured: s_b, m_e, s_lap within 2.1e-15 of max|.|, the L2 and H1
-        # m_a within 2.1e-12, e_ref within 1.2e-11 (|H| ~ 5e4 at 8000 points)
+        # measured: s_b, m_e, s_lap within 2.0e-15 of max|.|, the L2 and H1
+        # m_a within 1.8e-12, e_ref within 1.0e-11 (1.5e-16 |H|, |H| ~ 7e4
+        # at 8000 points), the error of the oracle's full-size bisection
         g = build_grid(x_max, n_points)
         record = build_offline_single(g, a, n_funcs)
         oracle = full_grid_record(g, a, n_funcs)

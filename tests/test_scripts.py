@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import os
 import numpy as np
 import pytest
@@ -126,3 +127,49 @@ def test_sampling_study_one_curve_pass(monkeypatch, capsys):
     assert len(calls) == training + 50 == 55
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 + len(module.SPARSE_MEASURES)
+
+
+def test_committed_bench_records_pass():
+    assert load_script("check_bench_records").problems(os.path.dirname(SCRIPTS)) == []
+
+
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("correct", False, "not correct"),
+        ("failed", 2, "failed is 2, not 0"),
+        ("metrics", "peak_rss_mb", "missing peak_rss_mb"),
+    ],
+)
+def test_bench_record_problems_are_named(tmp_path, key, value, problem):
+    with open(os.path.join(os.path.dirname(SCRIPTS), "BENCHMARK.json")) as fh:
+        benchmark = json.load(fh)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in benchmark["end_to_end"]}
+    good = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+    bad = dict(good)
+    if key == "metrics":  # one metric left out
+        bad["metrics"] = {k: v for k, v in metrics.items() if k != value}
+    else:
+        bad[key] = value
+    runs = [
+        {"workload": "w", "seed": 1, "side": "parent", "result": good},
+        {"workload": "w", "seed": 1, "side": "change", "result": bad},
+    ]
+    (tmp_path / "BENCH_x.json").write_text(json.dumps({"runs": runs}))
+    module = load_script("check_bench_records")
+    found = module.problems(str(tmp_path))
+    assert len(found) == 1 and found[0].endswith(problem), found
+    assert "run 1 (w, seed 1, change)" in found[0]
+    assert module.main([str(tmp_path)]) == 1
+
+
+def test_bench_records_absent_or_unreadable(tmp_path):
+    module = load_script("check_bench_records")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    assert module.problems(str(tmp_path)) == [f"no BENCH_*.json in {tmp_path}"]
+    (tmp_path / "BENCH_x.json").write_text("{")
+    (tmp_path / "BENCH_y.json").write_text(json.dumps({"runs": [[]]}))
+    found = module.problems(str(tmp_path))
+    assert found[0].startswith("BENCH_x.json: unreadable")
+    assert found[1] == "BENCH_y.json: run 0: no result"

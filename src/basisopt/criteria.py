@@ -2,12 +2,13 @@
 
 Both criteria are weighted sums over the sampling measure of terms that
 depend on R only through the reduced 2N_b x 2N_b matrices of each
-configuration. They read an OfflineStack, which holds the offline matrices
-of the K configurations as (K, 2N, 2N) arrays next to the a, weight and
-e_ref vectors. A call forms all K reduced matrices with one matmul against
-I_R = expand(R), makes one batched solve over K and returns the value and
-the Euclidean gradient from it; eval_* and grad_* are thin wrappers over
-the same kernels.
+configuration. They read an OfflineStack of the K configurations. A call
+forms all K reduced matrices with one matmul against I_R = expand(R),
+makes one batched solve over K and returns the value and the Euclidean
+gradient from it; eval_* and grad_* are thin wrappers over the same
+kernels. J_A takes the rank-2 FD density matrix from its 2 x 2N factor
+G_A and forms neither M_red nor S_red^{-1} (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 20).
 
 The per-configuration terms are reduced in measure order by fixed-shape
 NumPy reductions, so values are bit-reproducible.
@@ -58,16 +59,15 @@ def _weighted_sum(w: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _ja(R, offline: OfflineStack):
-    """Value and gradient of J_A = -sum_n w_n Tr(M_red S_red^{-1})."""
-    m, s, weight = offline.m_a, offline.s_a, offline.weight
-    S_red = reduced_overlap(s, R)
-    M_red = reduced_overlap(m, R)
-    S_inv_sqrt, _ = inv_sqrt_spd(S_red, a=offline.a)
-    S_inv = S_inv_sqrt @ S_inv_sqrt
-    value = -float(weight @ (S_inv * M_red).sum(axis=(1, 2)))
-    # d/dI_R Tr(M_red S_red^{-1}) = 2 (M I_R S^{-1} - S I_R S^{-1} M_red S^{-1})
+    """Value and gradient of J_A = -sum_n w_n |G_A I_R S_red^{-1/2}|_F^2."""
+    g, s, weight = offline.g_a, offline.s_a, offline.weight
+    S_inv_sqrt, _ = inv_sqrt_spd(reduced_overlap(s, R), a=offline.a)
     I_R = expand(R)
-    D = m @ I_R @ S_inv - s @ I_R @ (S_inv @ M_red @ S_inv)
+    Z = g @ I_R @ S_inv_sqrt
+    value = -float(weight @ (Z * Z).sum(axis=(1, 2)))
+    # d/dI_R |Z|_F^2 = 2 (G^T W - S I_R W^T W), W = Z S_red^{-1/2}
+    W = Z @ S_inv_sqrt
+    D = g.swapaxes(1, 2) @ W - s @ I_R @ (W.swapaxes(1, 2) @ W)
     return value, -2.0 * _diag_blocks_sum(_weighted_sum(weight, D))
 
 
@@ -95,7 +95,7 @@ def _je(R, offline: OfflineStack):
 
 
 def eval_JA(R: np.ndarray, offline: OfflineStack) -> float:
-    """-sum_n w_n Tr(M_A(a_n) I_R [S^A(B I_R)]^{-1} I_R^T)."""
+    """-sum_n w_n Tr(G_A^T G_A(a_n) I_R [S^A(B I_R)]^{-1} I_R^T)."""
     return _ja(R, offline)[0]
 
 

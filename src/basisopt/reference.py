@@ -8,12 +8,12 @@ enters only through the 2 x 2N factor G = Phi^T A B_a.
 
 Offline data takes two forms. An OfflineRecord is what the cache stores
 for one configuration, metric-free. An OfflineStack is what the criteria
-read: the (K, 2N, 2N) matrices of one metric for the K configurations of a
-measure, with their a, weight and e_ref vectors. stack_offline is the one
-place that maps a metric to the matrices, and load_or_build_each the one
-path through the cache, which holds the measure's records only: a curve
-point builds its record from the FD solve it makes anyway
-(build_offline_single with `pair`).
+read: the (K, 2, 2N) and (K, 2N, 2N) arrays of one metric for the K
+configurations of a measure, with their a, weight and e_ref vectors.
+stack_offline is the one place that maps a metric to the arrays, and
+load_or_build_each the one path through the cache, which holds the
+measure's records only: a curve point builds its record from the FD solve
+it makes anyway (build_offline_single with `pair`).
 
 The grid, V and H_FD are mirror-symmetric bit for bit, so the FD layer
 works in the even/odd basis of x -> -x: solve_ground_pair takes phi1
@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .galerkin import _sym
 from .grid import Grid, TridiagOperator, fd_gradient, fd_hamiltonian, potential
 from .hermite import assemble_parity
 
@@ -80,6 +81,8 @@ class Measure:
     def __post_init__(self):
         if len(self.points) != len(self.weights):
             raise ValueError("points and weights must have equal length")
+        if not self.points:
+            raise ValueError("a measure needs at least one configuration")
         # NaN fails every comparison below, so it must be caught here
         if not np.isfinite([*self.points, *self.weights]).all():
             raise ValueError("configurations and weights must be finite")
@@ -149,9 +152,11 @@ def solve_ground_pair(H: TridiagOperator) -> GroundPair:
             (np.concatenate([[d[m] + sign * e[m - 1]], d[m + 1 :]]), e[m:])
             for sign in (1.0, -1.0)
         )
+    # H's Gershgorin bound (radii at most 2 max|e|) bounds each block's too
+    floor = d.min() - 2.0 * np.abs(e).max()
     pair = []
     for sign, (diag, off) in zip((1.0, -1.0), (even, odd)):
-        lam, u = _lowest_eigenpair(diag, off)
+        lam, u = _lowest_eigenpair(diag, off, floor)
         pair.append((lam, _mirror(u, n, sign)))
     for i, (lam, phi) in enumerate(pair, start=1):
         res = np.linalg.norm(H.matvec(phi) - lam * phi)
@@ -163,7 +168,9 @@ def solve_ground_pair(H: TridiagOperator) -> GroundPair:
     return GroundPair(lambda1=lambda1, lambda2=lambda2, phi1=phi1, phi2=phi2)
 
 
-def _lowest_eigenpair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
+def _lowest_eigenpair(
+    d: np.ndarray, e: np.ndarray, floor: float = -np.inf
+) -> tuple[float, np.ndarray]:
     """The lowest eigenpair of the Jacobi matrix T with diagonal d and
     off-diagonal e, by inverse iteration whose every shift is proved to
     lie below the spectrum (Parlett, The Symmetric Eigenvalue Problem,
@@ -171,14 +178,15 @@ def _lowest_eigenpair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
 
     x starts as the all-ones vector, which the positive lowest eigenvector
     of a Jacobi matrix overlaps, and the first shift is the Gershgorin
-    lower bound. With rho the Rayleigh quotient of x and eta = |T x - rho x|,
-    some eigenvalue lies within eta of rho (Krylov-Weinstein); each step
-    tries the shift rho - eta. An LDL^T factorization of T - sigma I
-    (dpttrf) that succeeds proves sigma below lambda_min; one that fails
-    keeps the last shift that passed. So the iteration can only converge
-    to the lowest eigenpair. It stops one solve after eta <= 8 eps |T|:
-    the extra solve takes the vector from up to 2e-12 to a few 1e-15 of
-    the exact one. x stays positive, and its norm is 1.
+    lower bound, or `floor`, a known bound on the spectrum, if higher. With
+    rho the Rayleigh quotient of x and eta = |T x - rho x|, some eigenvalue
+    lies within eta of rho (Krylov-Weinstein); each step tries the shift
+    rho - eta. An LDL^T factorization of T - sigma I (dpttrf) that succeeds
+    proves sigma below lambda_min; one that fails keeps the last shift that
+    passed. So the iteration can only converge to the lowest eigenpair. It
+    stops one solve after eta <= 8 eps |T|: the extra solve takes the
+    vector from up to 2e-12 to a few 1e-15 of the exact one. x stays
+    positive, and its norm is 1.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs  # keep scipy off start-up
 
@@ -189,8 +197,8 @@ def _lowest_eigenpair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
     radius[:-1] = np.abs(e)
     radius[1:] += np.abs(e)
     tol = 8.0 * _EPS * (np.abs(d) + radius).max()
-    # tol below the Gershgorin bound: at the bound T - sigma I may be singular
-    sigma, factors = (d - radius).min() - tol, None
+    # tol below the bound: at the bound T - sigma I may be singular
+    sigma, factors = max((d - radius).min(), floor) - tol, None
     x = np.full(n, 1.0 / np.sqrt(n))
     last = False
     for _ in range(_MAX_STEPS):
@@ -287,12 +295,12 @@ _RECORD_ARRAYS = ("g", "g_lap", "s_b", "m_e", "s_lap")
 @dataclass(frozen=True)
 class OfflineStack:
     """The offline data of K configurations for one metric A, in measure
-    order: (K,) vectors and (K, 2N, 2N) matrix stacks."""
+    order: (K,) vectors, (K, 2, 2N) factors and (K, 2N, 2N) matrices."""
 
     a: np.ndarray
     weight: np.ndarray
     e_ref: np.ndarray
-    m_a: np.ndarray = field(repr=False)  # (A B)^T P_FD (A B) = G^T G
+    g_a: np.ndarray = field(repr=False)  # Phi^T A B; G^T G = (A B)^T P_FD A B
     s_a: np.ndarray = field(repr=False)  # B^T A B
     m_e: np.ndarray = field(repr=False)  # B^T H_FD B
     s_b: np.ndarray = field(repr=False)  # B^T B
@@ -301,38 +309,29 @@ class OfflineStack:
         return len(self.a)
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
 def stack_offline(
     records: Sequence[OfflineRecord], weights: Sequence[float], metric: str
 ) -> OfflineStack:
     """Stack the records of a measure's configurations for one metric.
 
     Each stack is filled in place, with no per-record temporaries."""
-    s_b = np.stack([r.s_b for r in records])
-    if metric == "L2":
-        gs, s_a = [r.g for r in records], s_b
-    elif metric == "H1":
-        gs = [r.g + r.g_lap for r in records]
-        s_a = np.stack([r.s_lap for r in records])
-        s_a += s_b
-    else:
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if len(weights) != len(records):
         raise ValueError(f"{len(records)} records but {len(weights)} weights")
-    m_a = np.empty_like(s_b)
-    for out, g in zip(m_a, gs):
-        gtg = g.T @ g
-        np.multiply(0.5, gtg + gtg.T, out=out)
+    s_b = np.stack([r.s_b for r in records])
+    g_a, s_a = np.stack([r.g for r in records]), s_b
+    if metric == "H1":
+        g_a += np.stack([r.g_lap for r in records])
+        s_a = np.stack([r.s_lap for r in records])
+        s_a += s_b
     # three contiguous vectors: a strided one takes another BLAS path, and
     # its dot products then differ in the last bits from a copy's
     return OfflineStack(
         a=np.array([r.a for r in records]),
         weight=np.array(weights, dtype=float),
         e_ref=np.array([r.e_ref for r in records]),
-        m_a=m_a,
+        g_a=g_a,
         s_a=s_a,
         m_e=np.stack([r.m_e for r in records]),
         s_b=s_b,
@@ -396,9 +395,9 @@ def build_offline_single(
     F *= np.sqrt(potential(a, grid.points[n // 2 :]))[:, None, None]  # V >= 0
     blocks = []  # per part: phi^T B, phi^T (-Laplacian) B, s_b, m_e, s_lap
     for p, (gram, lap) in enumerate(grams):
-        s_lap = _symmetrize(lap[:N, :N])
-        m_e = _symmetrize(F[:, p, :N].T @ F[:, p, :N]) + 0.5 * s_lap
-        blocks.append((gram[N, :N], lap[N, :N], _symmetrize(gram[:N, :N]), m_e, s_lap))
+        s_lap = _sym(lap[:N, :N])
+        m_e = _sym(F[:, p, :N].T @ F[:, p, :N]) + 0.5 * s_lap
+        blocks.append((gram[N, :N], lap[N, :N], _sym(gram[:N, :N]), m_e, s_lap))
     (g1, g1_lap, *even), (g2, g2_lap, *odd) = blocks
     sign = (-1.0) ** np.arange(N)
     # Phi^T B = [[g1, 0], [0, g2]] T, and likewise with the Laplacian

@@ -38,13 +38,14 @@ def config(offline: OfflineStack, k: int) -> OfflineStack:
     return OfflineStack(**{name: getattr(offline, name)[k : k + 1] for name in names})
 
 
-def single_stack(a, weight, e_ref, m_a, s_a, m_e, s_b) -> OfflineStack:
-    """A stack of one configuration from its 2N x 2N matrices."""
+def single_stack(a, weight, e_ref, g_a, s_a, m_e, s_b) -> OfflineStack:
+    """A stack of one configuration from its 2 x 2N factor and 2N x 2N
+    matrices."""
     return OfflineStack(
         np.array([a]),
         np.array([weight]),
         np.array([e_ref]),
-        *(m[None] for m in (m_a, s_a, m_e, s_b)),
+        *(m[None] for m in (g_a, s_a, m_e, s_b)),
     )
 
 
@@ -93,7 +94,7 @@ class TestEvalJA:
             a=2.0,
             weight=1.0,
             e_ref=pair.energy,
-            m_a=G.T @ G,
+            g_a=G,
             s_a=B.T @ B,
             m_e=B.T @ fd_hamiltonian(grid_main, 2.0).matvec(B),
             s_b=B.T @ B,
@@ -176,7 +177,7 @@ class TestGradients:
             a=1.0,
             weight=1.0,
             e_ref=1.0,
-            m_a=np.eye(4),
+            g_a=np.eye(2, 4),
             s_a=np.eye(4),
             m_e=np.eye(4),
             s_b=np.eye(4),
@@ -246,9 +247,42 @@ def _dense_single_value(kind, R, offline, k):
         S = I_R.T @ offline.s_b[k] @ I_R
         mu = scipy.linalg.eigh(H, S, eigvals_only=True)
         return offline.weight[k] * (offline.e_ref[k] - mu[0] - mu[1]) ** 2
-    M = I_R.T @ offline.m_a[k] @ I_R
+    M = I_R.T @ (offline.g_a[k].T @ offline.g_a[k]) @ I_R
     S = I_R.T @ offline.s_a[k] @ I_R
     return -offline.weight[k] * np.trace(np.linalg.solve(S, M))
+
+
+def _ja_multiprecision(R, offline, digits=50):
+    """J_A and its gradient from the stack's own g_a and s_a, evaluated in
+    `digits`-digit arithmetic: with W = G I_R S_red^{-1}, the value is
+    -sum_n w_n Tr(W (G I_R)^T) and the I_R gradient -2 sum_n w_n
+    (G^T W - s I_R W^T W), summed over its diagonal blocks."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        I_R = mpmath.matrix(expand(R).tolist())
+        value, grad = mpmath.mpf(0), mpmath.zeros(I_R.rows, I_R.cols)
+        for g, s, w in zip(offline.g_a, offline.s_a, offline.weight.tolist()):
+            G, S = mpmath.matrix(g.tolist()), mpmath.matrix(s.tolist())
+            GI, SI = G * I_R, S * I_R
+            W = GI * mpmath.inverse(I_R.T * SI)
+            value -= w * sum((W * GI.T)[i, i] for i in range(2))
+            grad -= 2 * w * (G.T * W - SI * (W.T * W))
+        grad = np.array(grad.tolist(), dtype=float)
+        return float(value), _diag_blocks_oracle(grad)
+
+
+@pytest.mark.parametrize("n_basis", [6, 7])
+@pytest.mark.parametrize("kind", [CriterionKind.JA_L2, CriterionKind.JA_H1])
+def test_ja_matches_multiprecision_evaluation(kind, n_basis, offline_l2, offline_h1):
+    # the HBS reduced overlap reaches cond 7.7e7 at N_b = 7 (L2). Measured:
+    # at most 5.8e-14 relative in J and 1.3e-9 in grad J; from the formed
+    # M_red and S_red^{-1} these were 9.5e-11 and 2.4 (L2 N_b = 7)
+    offline = offline_h1 if kind is CriterionKind.JA_H1 else offline_l2
+    R = hbs_coefficients(10, n_basis)
+    value, grad = make_criterion(kind, offline)(R)
+    exact_value, exact_grad = _ja_multiprecision(R, offline)
+    assert abs(value - exact_value) <= 1e-13 * abs(exact_value)
+    assert np.linalg.norm(grad - exact_grad) <= 1e-8 * np.linalg.norm(exact_grad)
 
 
 class TestBatchedKernel:
@@ -339,14 +373,13 @@ def _diag_blocks_oracle(M):
 
 
 def ja_oracle(R, offline):
-    m, s, weight = offline.m_a, offline.s_a, offline.weight
-    S_red = _reduced_oracle(s, R)
-    M_red = _reduced_oracle(m, R)
-    S_inv_sqrt = _inv_sqrt_oracle(S_red)
-    S_inv = S_inv_sqrt @ S_inv_sqrt
-    value = -float(weight @ np.sum(S_inv * M_red, axis=(1, 2)))
+    g, s, weight = offline.g_a, offline.s_a, offline.weight
+    S_inv_sqrt = _inv_sqrt_oracle(_reduced_oracle(s, R))
     I_R = expand(R)
-    D = m @ I_R @ S_inv - s @ I_R @ (S_inv @ M_red @ S_inv)
+    Z = g @ I_R @ S_inv_sqrt
+    value = -float(weight @ np.sum(Z * Z, axis=(1, 2)))
+    W = Z @ S_inv_sqrt
+    D = np.swapaxes(g, 1, 2) @ W - s @ I_R @ (np.swapaxes(W, 1, 2) @ W)
     return value, -2.0 * _diag_blocks_oracle(np.tensordot(weight, D, axes=1))
 
 
@@ -391,7 +424,7 @@ def synthetic_stack(rng, k, n_funcs) -> OfflineStack:
         a=a,
         weight=weight,
         e_ref=e_ref,
-        m_a=gram(),
+        g_a=rng.standard_normal((k, 2, size)),
         s_a=s_b + gram(),
         m_e=gram(),
         s_b=s_b,

@@ -36,7 +36,7 @@ from basisopt.reference import (
 GRID = build_grid(20.0, 399)
 MEASURE = uniform_measure(1.5, 5.0, 4)
 N_FUNCS = 4
-STACK_FIELDS = ("a", "weight", "e_ref", "m_a", "s_a", "m_e", "s_b")
+STACK_FIELDS = ("a", "weight", "e_ref", "g_a", "s_a", "m_e", "s_b")
 
 
 def test_build_offline_signature():

@@ -26,7 +26,7 @@ from basisopt.reference import (
 )
 from conftest import full_grid_record, h1_metric, hermite_columns, to_dense
 
-OFFLINE_FIELDS = ("m_a", "s_a", "m_e", "s_b")
+OFFLINE_FIELDS = ("g_a", "s_a", "m_e", "s_b")
 RECORD_FIELDS = ("g", "g_lap", "s_b", "m_e", "s_lap")
 
 
@@ -58,6 +58,8 @@ class TestMeasure:
             Measure(points=(1.0, 2.0), weights=(0.5, -0.5))
         with pytest.raises(ValueError):
             Measure(points=(1.0,), weights=(0.5, 0.5))
+        with pytest.raises(ValueError, match="at least one"):
+            Measure(points=(), weights=())
 
     @pytest.mark.parametrize(
         "points, weights",
@@ -176,7 +178,9 @@ class TestSolveGroundPair:
         # NaN > 1e-8 is False: the residual check must not let it through
         H = fd_hamiltonian(build_grid(20.0, 101), 1.5)
         monkeypatch.setattr(
-            reference, "_lowest_eigenpair", lambda d, e: (np.nan, np.ones(len(d)))
+            reference,
+            "_lowest_eigenpair",
+            lambda d, e, floor: (np.nan, np.ones(len(d))),
         )
         with pytest.raises(reference.NumericalFailure, match="residual nan"):
             solve_ground_pair(H)
@@ -256,6 +260,15 @@ class TestLowestEigenpair:
         solves = sum(kind == "solve" for kind, _ in lapack_calls)
         assert 20 < solves < reference._MAX_STEPS
 
+    @pytest.mark.parametrize("a", [1.5, 2.7, 5.0])
+    def test_blocks_start_from_the_full_gershgorin_bound(self, lapack_calls, a):
+        # the even block of an odd grid couples its first row by sqrt(2) e:
+        # its own Gershgorin bound is near -517 at 1999 points, and from
+        # there it took 10-11 solves. H's bound, min V >= 0, bounds every
+        # block too; from it each block takes 6-7 (measured), as on even grids
+        solve_ground_pair(fd_hamiltonian(build_grid(20.0, 1999), a))
+        assert sum(kind == "solve" for kind, _ in lapack_calls) <= 14
+
     def test_step_cap_fails_closed(self, lapack_calls):
         # a gap of 1e-7: every shift between the levels fails, and the last
         # one that passed converges too slowly to meet the stop rule
@@ -268,7 +281,7 @@ class TestLowestEigenpair:
 class TestBuildOffline:
     def test_matrices_symmetric(self, offline_l2, offline_h1):
         for offline in (offline_l2, offline_h1):
-            for name in OFFLINE_FIELDS:
+            for name in ("s_a", "m_e", "s_b"):  # g_a is 2 x 2N
                 for m in getattr(offline, name):
                     assert np.abs(m - m.T).max() < 1e-12
 
@@ -279,13 +292,15 @@ class TestBuildOffline:
                 assert np.linalg.eigvalsh(s_a)[0] > 0
 
     def test_projector_rank_and_trace_bound(self, offline_l2, offline_stress):
-        # s_b - m_a = B^T (I - Phi Phi^T) B is positive semidefinite, so
-        # g s_b^-1 g^T <= I and the captured trace Tr(m_a s_b^-1) <= 2; the
-        # trace through inv(s_b) is read only where s_b is well conditioned
-        # (cond(s_b) is about 5e14 at a = 1.5, N = 10)
+        # g_a^T g_a has rank 2 by its shape; s_b - g_a^T g_a = B^T (I - Phi
+        # Phi^T) B is positive semidefinite, so g s_b^-1 g^T <= I and the
+        # captured trace Tr(g_a^T g_a s_b^-1) <= 2; the trace through
+        # inv(s_b) is read only where s_b is well conditioned (cond(s_b) is
+        # about 5e14 at a = 1.5, N = 10)
         for offline in (offline_l2, offline_stress):
-            for m_a, s_b in zip(offline.m_a, offline.s_b):
-                assert np.linalg.matrix_rank(m_a, tol=1e-10) == 2
+            assert offline.g_a.shape[1:] == (2, offline.s_b.shape[1])
+            for g_a, s_b in zip(offline.g_a, offline.s_b):
+                m_a = g_a.T @ g_a
                 gap = np.linalg.eigvalsh(s_b - m_a)[0]
                 assert gap >= -1e-13 * np.abs(s_b).max()
                 if np.linalg.cond(s_b) <= 1e6:
@@ -318,7 +333,7 @@ class TestBuildOffline:
             assert p10.mu2 <= p5.mu2 + 1e-12
 
     def test_metrics_match_direct_projections(self, grid_main):
-        # m_a and s_a of L2 and s_b, from half-grid parity blocks, match the
+        # g_a and s_a of L2 and s_b, from half-grid parity blocks, match the
         # full-grid products to rounding; H1 and m_e, assembled from the
         # factored Laplacian, match the operators applied to B
         a, n = 2.3, 6
@@ -335,7 +350,7 @@ class TestBuildOffline:
             data = stack_offline([record], [1.0], metric)
             G = phis.T @ AB
             direct = (
-                sym(G.T @ G),
+                G,
                 sym(B.T @ AB),
                 sym(B.T @ H.matvec(B)),
                 sym(B.T @ B),
@@ -379,6 +394,13 @@ class TestBuildOffline:
         record = build_offline_single(grid_main, 2.0, 3)
         with pytest.raises(ValueError, match="metric"):
             stack_offline([record], [1.0], "H2")
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_weight_count_checked_before_stacking(self, count):
+        # the count is checked first: no record is read, and an empty list
+        # gets this message, not the one np.stack gives for no arrays
+        with pytest.raises(ValueError, match=f"{count} records but 1 weights"):
+            stack_offline([object()] * count, [1.0], "L2")
 
     def test_compressed_matches_dense_projector(self, rng):
         # small-instance oracle: j_A from the compressed matrices equals
@@ -554,8 +576,8 @@ class TestWorkspace:
     @pytest.mark.parametrize("a", [1.5, 2.7, 5.0])
     def test_records_match_the_full_grid_oracle(self, x_max, n_points, n_funcs, a):
         # measured: s_b, m_e, s_lap within 2.0e-15 of max|.|, the L2 and H1
-        # m_a within 1.8e-12, e_ref within 1.0e-11 (1.5e-16 |H|, |H| ~ 7e4
-        # at 8000 points), the error of the oracle's full-size bisection
+        # g_a^T g_a within 1.8e-12, e_ref within 1.0e-11 (1.5e-16 |H|, |H| ~
+        # 7e4 at 8000 points), the error of the oracle's full-size bisection
         g = build_grid(x_max, n_points)
         record = build_offline_single(g, a, n_funcs)
         oracle = full_grid_record(g, a, n_funcs)
@@ -565,8 +587,9 @@ class TestWorkspace:
             assert err <= 1e-14 * np.abs(expected).max(), name
         for metric in METRICS:
             got, expected = (
-                stack_offline([r], [1.0], metric).m_a[0] for r in (record, oracle)
+                stack_offline([r], [1.0], metric).g_a[0] for r in (record, oracle)
             )
+            got, expected = got.T @ got, expected.T @ expected
             err = np.abs(got - expected).max()
             assert err <= 1e-11 * np.abs(expected).max(), metric
         H = fd_hamiltonian(g, a)

@@ -6,14 +6,19 @@ Loads every BENCH_*.json in ROOT (default: the repository root). Each
 holds a list `runs`, and each run the `result` line that
 `perfbench/run.py` printed last. A record passes when every stored result
 is correct, has no failed operation and carries every end-to-end metric
-that ROOT/BENCHMARK.json names. Prints one line per problem and exits 1
-when there is one, else 0.
+that ROOT/BENCHMARK.json names, and when its `summary`, if it has one,
+agrees with the runs: for each workload and metric, each side's median
+and quartiles (`statistics.quantiles`, inclusive method) over the
+summary's seeds, and the number of those seeds on which the change read
+lower. Prints one line per problem and exits 1 when there is one, else 0.
 """
 
 import argparse
 import glob
 import json
+import math
 import os
+import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -31,7 +36,8 @@ def problems(root: str) -> list[str]:
         name = os.path.basename(path)
         try:
             with open(path) as fh:
-                runs = json.load(fh)["runs"]
+                record = json.load(fh)
+            runs = record["runs"]
         except (OSError, ValueError, KeyError, TypeError) as exc:
             found.append(f"{name}: unreadable: {exc!r}")
             continue
@@ -52,6 +58,62 @@ def problems(root: str) -> list[str]:
             missing = [m for m in metrics if m not in result.get("metrics", {})]
             if missing:
                 found.append(f"{where}: missing {', '.join(missing)}")
+        found += summary_problems(name, runs, record.get("summary", {}))
+    return found
+
+
+def _agrees(stated, expected) -> bool:
+    if isinstance(expected, str):
+        return stated == expected
+    if isinstance(expected, list):
+        return (
+            isinstance(stated, list)
+            and len(stated) == len(expected)
+            and all(map(_agrees, stated, expected))
+        )
+    if not isinstance(stated, (int, float)):
+        return False
+    return math.isclose(stated, expected, rel_tol=1e-12)
+
+
+def summary_problems(name: str, runs: list, summary: dict) -> list[str]:
+    """Every statistic of `summary` that its runs do not reproduce."""
+    found = []
+    for workload, entry in summary.items():
+        seeds = entry.get("seeds", [])
+        for metric, stated in entry.items():
+            if metric == "seeds":
+                continue
+            where = f"{name}: summary {workload} {metric}"
+            values = {}
+            for run in runs:
+                try:
+                    if run["workload"] == workload and run["seed"] in seeds:
+                        value = run["result"]["metrics"][metric]["value"]
+                        values[run["side"], run["seed"]] = value
+                except (KeyError, TypeError):
+                    continue  # the run's own problems are named above
+            absent = [
+                f"{side} seed {seed}"
+                for side in ("parent", "change")
+                for seed in seeds
+                if (side, seed) not in values
+            ]
+            if absent:
+                found.append(f"{where}: no run for {', '.join(absent)}")
+                continue
+            expected = {}
+            for side in ("parent", "change"):
+                column = [values[side, seed] for seed in seeds]
+                q1, _, q3 = statistics.quantiles(column, n=4, method="inclusive")
+                expected[f"{side}_median"] = statistics.median(column)
+                expected[f"{side}_quartiles"] = [q1, q3]
+            lower = sum(values["change", s] < values["parent", s] for s in seeds)
+            expected["pairs_change_lower"] = f"{lower} of {len(seeds)}"
+            for key, value in expected.items():
+                if not _agrees(stated.get(key), value):
+                    given = stated.get(key)
+                    found.append(f"{where}: {key} is {given!r}, runs give {value!r}")
     return found
 
 

@@ -6,9 +6,12 @@ configuration. They read an OfflineStack of the K configurations. A call
 forms all K reduced matrices with one matmul against I_R = expand(R),
 makes one batched solve over K and returns the value and the Euclidean
 gradient from it; eval_* and grad_* are thin wrappers over the same
-kernels. J_A takes the rank-2 FD density matrix from its 2 x 2N factor
-G_A and forms neither M_red nor S_red^{-1} (Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 20).
+kernels. The solve is one batched Cholesky factorization
+S_red = L L^T, used through X = L^{-1} (Golub & Van Loan, Matrix
+Computations, sec. 8.7); J_E adds one batched eigh of X H_red X^T.
+J_A takes the rank-2 FD density matrix from its 2 x 2N factor G_A and
+forms neither M_red nor S_red^{-1} (Higham, Accuracy and Stability of
+Numerical Algorithms, chs. 10 and 20).
 
 The per-configuration terms are reduced in measure order by fixed-shape
 NumPy reductions, so values are bit-reproducible.
@@ -59,14 +62,15 @@ def _weighted_sum(w: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _ja(R, offline: OfflineStack):
-    """Value and gradient of J_A = -sum_n w_n |G_A I_R S_red^{-1/2}|_F^2."""
+    """Value and gradient of J_A = -sum_n w_n |G_A I_R X^T|_F^2, where
+    X = L^{-1} for S_red = L L^T, so X^T X = S_red^{-1}."""
     g, s, weight = offline.g_a, offline.s_a, offline.weight
-    S_inv_sqrt, _ = inv_sqrt_spd(reduced_overlap(s, R), a=offline.a)
+    X = inv_sqrt_spd(reduced_overlap(s, R), a=offline.a)
     I_R = expand(R)
-    Z = g @ I_R @ S_inv_sqrt
+    Z = g @ I_R @ X.swapaxes(1, 2)
     value = -float(weight @ (Z * Z).sum(axis=(1, 2)))
-    # d/dI_R |Z|_F^2 = 2 (G^T W - S I_R W^T W), W = Z S_red^{-1/2}
-    W = Z @ S_inv_sqrt
+    # d/dI_R |Z|_F^2 = 2 (G^T W - S I_R W^T W), W = Z X = G I_R S_red^{-1}
+    W = Z @ X
     D = g.swapaxes(1, 2) @ W - s @ I_R @ (W.swapaxes(1, 2) @ W)
     return value, -2.0 * _diag_blocks_sum(_weighted_sum(weight, D))
 

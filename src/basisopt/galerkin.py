@@ -8,6 +8,7 @@ compressed 2N x 2N offline matrices, never on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,20 +56,43 @@ def reduced_overlap(s_block: np.ndarray, R: np.ndarray) -> np.ndarray:
     return _sym(I_R.T @ s_block @ I_R)
 
 
-def inv_sqrt_spd(S: np.ndarray, a=None):
-    """Symmetric (Lowdin) inverse square root of an SPD matrix or a stack.
-
-    S must be symmetric, as `reduced_overlap` returns it: `eigh` reads its
-    lower triangle only. Returns (S^{-1/2}, condition number); for a
-    (K, n, n) stack both carry the leading axis, and `a` holds one
-    configuration per matrix. Raises OvercompletenessError for the first
-    matrix whose spectrum is non-positive or whose condition number exceeds
-    DEFAULT_COND_LIMIT.
-    """
-    vals, vecs = np.linalg.eigh(S)
+def _condition(vals: np.ndarray) -> np.ndarray:
+    """Condition numbers from ascending eigenvalues; a non-positive
+    spectrum gives inf."""
     smin, smax = vals[..., 0], vals[..., -1]
-    # a non-positive spectrum keeps cond = inf, so one test catches both
-    cond = np.divide(smax, smin, out=np.full(smin.shape, np.inf), where=smin > 0)
+    return np.divide(smax, smin, out=np.full(smin.shape, np.inf), where=smin > 0)
+
+
+def inv_sqrt_spd(S: np.ndarray, a=None) -> np.ndarray:
+    """Inverse Cholesky square root X = L^{-1} of an SPD matrix or stack,
+    where S = L L^T; then X^T X = S^{-1} and X S X^T = I.
+
+    S must be symmetric, as `reduced_overlap` returns it. For a (K, n, n)
+    stack X carries the leading axis, and `a` holds one configuration per
+    matrix. Raises OvercompletenessError for the first matrix whose
+    spectrum is non-positive or whose condition number exceeds
+    DEFAULT_COND_LIMIT, never LinAlgError.
+
+    The bound |S|_F |X|_F^2 >= cond_2(S) clears a stack at the cost of two
+    norms. Its factor of 2 below the limit covers the rounding of the bound
+    and of the eigenvalue test, each about n eps cond relative, so a
+    cleared stack is one the test would clear too. Any other stack, and
+    one whose factorization breaks down, goes to the eigenvalue test: one
+    `eigh` of the stack (which reads the lower triangle of S only), with a
+    matrix holding a non-finite entry taken as singular.
+    """
+    try:
+        X = np.linalg.inv(np.linalg.cholesky(S))
+    except np.linalg.LinAlgError:  # not positive definite in working precision
+        X = None
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test
+            bound = np.linalg.norm(S, axis=(-2, -1)) * (X * X).sum(axis=(-2, -1))
+        if np.all(bound <= 0.5 * DEFAULT_COND_LIMIT):
+            return X
+    finite = np.isfinite(S).all(axis=(-2, -1))[..., None, None]
+    vals, vecs = np.linalg.eigh(np.where(finite, S, 0.0))
+    cond = _condition(vals)
     bad = cond > DEFAULT_COND_LIMIT
     if bad.any():
         n = bad.argmax()  # the first bad matrix
@@ -76,12 +100,13 @@ def inv_sqrt_spd(S: np.ndarray, a=None):
         where = "" if a_n is None else f" at a={a_n}"
         raise OvercompletenessError(
             f"overlap matrix ill-conditioned{where}: min eigenvalue "
-            f"{smin.flat[n]:.3e}, condition number {cond.flat[n]:.3e}",
+            f"{vals[..., 0].flat[n]:.3e}, condition number {cond.flat[n]:.3e}",
             cond=float(cond.flat[n]),
             a=a_n,
         )
-    inv_sqrt = (vecs * vals[..., None, :] ** -0.5) @ vecs.swapaxes(-1, -2)
-    return _sym(inv_sqrt), cond[()]  # [()]: a scalar for a single matrix
+    if X is None:  # the test cleared S: its eigenvectors give an X instead
+        X = vals[..., :, None] ** -0.5 * vecs.swapaxes(-1, -2)
+    return X
 
 
 @dataclass(frozen=True)
@@ -95,11 +120,18 @@ class ReducedGroundPair:
     mu2: float
     mu3: float  # third Ritz value, kept for gap diagnostics
     C: np.ndarray = field(repr=False)  # 2N_b x 2, S-orthonormal
-    cond: float  # condition number of the reduced overlap
+    S_red: np.ndarray = field(repr=False)  # the reduced overlap it solved
 
     @property
     def energy(self) -> float:
         return self.mu1 + self.mu2
+
+    @cached_property
+    def cond(self) -> float:
+        """Condition number of the reduced overlap, from its eigenvalues;
+        computed on first read, so a solve that never reads it never pays.
+        A scalar for one matrix."""
+        return _condition(np.linalg.eigh(self.S_red)[0])[()]
 
 
 def reduced_ground_pair(
@@ -108,22 +140,26 @@ def reduced_ground_pair(
     R: np.ndarray,
     a=None,
 ) -> ReducedGroundPair:
-    """Solve the reduced problem by Lowdin symmetric orthogonalization.
+    """Solve the reduced problem by Cholesky reduction to standard form.
 
-    The offline matrices may be (K, 2N, 2N) stacks, with `a` holding one
-    configuration per matrix; one batched eigensolve then serves all K.
+    With X = L^{-1} from S_red = L L^T, the Ritz values are the eigenvalues
+    of X H_red X^T and C = X^T U[:, :2] (Golub & Van Loan, Matrix
+    Computations, sec. 8.7). The offline matrices may be (K, 2N, 2N)
+    stacks, with `a` holding one configuration per matrix; one batched
+    factorization and one batched eigensolve then serve all K.
     """
     S_red = reduced_overlap(s_block, R)
     H_red = reduced_overlap(m_e_offline, R)
-    S_inv_sqrt, cond = inv_sqrt_spd(S_red, a=a)
-    vals, vecs = np.linalg.eigh(_sym(S_inv_sqrt @ H_red @ S_inv_sqrt))
+    X = inv_sqrt_spd(S_red, a=a)
+    Xt = X.swapaxes(-1, -2)
+    vals, vecs = np.linalg.eigh(_sym(X @ H_red @ Xt))
     mu3 = vals[..., 2] if vals.shape[-1] > 2 else np.inf
     return ReducedGroundPair(
         mu1=vals[..., 0],
         mu2=vals[..., 1],
         mu3=mu3,
-        C=S_inv_sqrt @ vecs[..., :2],
-        cond=cond,
+        C=Xt @ vecs[..., :2],
+        S_red=S_red,
     )
 
 

@@ -275,14 +275,84 @@ def _ja_multiprecision(R, offline, digits=50):
 @pytest.mark.parametrize("kind", [CriterionKind.JA_L2, CriterionKind.JA_H1])
 def test_ja_matches_multiprecision_evaluation(kind, n_basis, offline_l2, offline_h1):
     # the HBS reduced overlap reaches cond 7.7e7 at N_b = 7 (L2). Measured:
-    # at most 5.8e-14 relative in J and 1.3e-9 in grad J; from the formed
-    # M_red and S_red^{-1} these were 9.5e-11 and 2.4 (L2 N_b = 7)
+    # at most 1.2e-16 relative in J and 5.3e-10 in grad J; through the
+    # Lowdin S_red^{-1/2} these were 5.7e-14 and 1.3e-9, and from the formed
+    # M_red and S_red^{-1} 9.5e-11 and 2.4 (L2 N_b = 7)
     offline = offline_h1 if kind is CriterionKind.JA_H1 else offline_l2
     R = hbs_coefficients(10, n_basis)
     value, grad = make_criterion(kind, offline)(R)
     exact_value, exact_grad = _ja_multiprecision(R, offline)
-    assert abs(value - exact_value) <= 1e-13 * abs(exact_value)
-    assert np.linalg.norm(grad - exact_grad) <= 1e-8 * np.linalg.norm(exact_grad)
+    assert abs(value - exact_value) <= 1e-15 * abs(exact_value)
+    assert np.linalg.norm(grad - exact_grad) <= 5e-9 * np.linalg.norm(exact_grad)
+
+
+def _je_multiprecision(R, offline, digits=50):
+    """J_E and its gradient from the stack's own m_e and s_b, evaluated in
+    `digits`-digit arithmetic: the Ritz pair from the Cholesky reduction
+    L^{-1} H_red L^{-T} of each configuration, then the I_R gradient
+    -4 sum_n w_n r_n (M I_R C C^T - S I_R C diag(mu1, mu2) C^T), summed over
+    its diagonal blocks."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        I_R = mpmath.matrix(expand(R).tolist())
+        value, grad = mpmath.mpf(0), mpmath.zeros(I_R.rows, I_R.cols)
+        rows = zip(offline.m_e, offline.s_b, offline.weight.tolist(), offline.e_ref)
+        for m, s, w, e_ref in rows:
+            MI = mpmath.matrix(m.tolist()) * I_R
+            SI = mpmath.matrix(s.tolist()) * I_R
+            L_inv = mpmath.inverse(mpmath.cholesky(I_R.T * SI))
+            mu, U = mpmath.eigsy(L_inv * (I_R.T * MI) * L_inv.T)
+            lowest = sorted(range(len(mu)), key=lambda i: mu[i])[:2]
+            U_low = mpmath.matrix([[U[r, c] for c in lowest] for r in range(U.rows)])
+            C = L_inv.T * U_low
+            residual = mpmath.mpf(float(e_ref)) - mu[lowest[0]] - mu[lowest[1]]
+            value += w * residual**2
+            Q = C * mpmath.diag([mu[c] for c in lowest]) * C.T
+            grad -= 4 * w * residual * (MI * (C * C.T) - SI * Q)
+        grad = np.array(grad.tolist(), dtype=float)
+        return float(value), _diag_blocks_oracle(grad)
+
+
+# relative error bound on J_E and grad J_E at HBS per N_b, about 10x the
+# larger of the two measured (1.2e-14, 8.9e-14, 3.6e-13, 1.3e-12 for N_b =
+# 3..6); the Lowdin S_red^{-1/2} measured 7.1e-15, 4.8e-14, 1.4e-12, 1.7e-12
+JE_MULTIPRECISION_RTOL = {3: 2e-13, 4: 1e-12, 5: 4e-12, 6: 2e-11}
+
+
+@pytest.mark.parametrize("n_basis", sorted(JE_MULTIPRECISION_RTOL))
+def test_je_matches_multiprecision_evaluation(n_basis, offline_l2):
+    R = hbs_coefficients(10, n_basis)
+    value, grad = make_criterion(CriterionKind.JE, offline_l2)(R)
+    exact_value, exact_grad = _je_multiprecision(R, offline_l2)
+    rtol = JE_MULTIPRECISION_RTOL[n_basis]
+    assert abs(value - exact_value) <= rtol * abs(exact_value)
+    assert np.linalg.norm(grad - exact_grad) <= rtol * np.linalg.norm(exact_grad)
+
+
+# Spread of J over 200 rotations R -> RM, M orthogonal, at the N_b = 4 end
+# points of the table runs, relative to |J|. Measured over 4 rotation seeds:
+# JA_L2 5.7e-16 to 8.0e-16, JA_H1 9.5e-16 to 1.3e-15, JE 7.6e-11 to 1.3e-10.
+# Through the Lowdin S_red^{-1/2} these were 4.5e-15 to 5.3e-15, 4.9e-15 to
+# 5.2e-15 and 3.7e-10 to 5.1e-10 at its own end points.
+ROTATION_SPREAD_RTOL = {
+    CriterionKind.JA_L2: 3e-15,
+    CriterionKind.JA_H1: 3e-15,
+    CriterionKind.JE: 3e-10,
+}
+
+
+@pytest.mark.parametrize("kind", list(CriterionKind))
+def test_rotation_spread_at_table_end_point(kind, optimized, offline_l2, offline_h1):
+    offline = offline_h1 if kind is CriterionKind.JA_H1 else offline_l2
+    result = optimized(kind, 4)
+    vg = make_criterion(kind, offline)
+    rng = np.random.default_rng(0)
+    values = [
+        vg(result.R_opt @ np.linalg.qr(rng.standard_normal((4, 4)))[0])[0]
+        for _ in range(200)
+    ]
+    spread = np.ptp(values) / abs(result.final_value)
+    assert spread <= ROTATION_SPREAD_RTOL[kind], spread
 
 
 class TestBatchedKernel:
@@ -348,9 +418,10 @@ def test_make_criterion_dispatch(offline_l2):
 
 # -- bit-identity oracles --------------------------------------------------------
 # The criteria kernels as they were before the hot path was cut to fewer NumPy
-# calls: a second symmetrization before each eigh, expand(R) per reduced
-# matrix, np.sum and np.tensordot. Stalling L-BFGS runs are chaotic under
-# rounding, so the kernels must match these bit for bit, not to a tolerance.
+# calls: a second symmetrization before each factorization, expand(R) per
+# reduced matrix, np.sum and np.tensordot. Stalling L-BFGS runs are chaotic
+# under rounding, so the kernels must match these bit for bit, not to a
+# tolerance.
 
 
 def _sym_oracle(M):
@@ -362,9 +433,9 @@ def _reduced_oracle(block, R):
     return _sym_oracle(I_R.T @ block @ I_R)
 
 
-def _inv_sqrt_oracle(S):
-    vals, vecs = np.linalg.eigh(_sym_oracle(S))
-    return _sym_oracle((vecs * vals[..., None, :] ** -0.5) @ np.swapaxes(vecs, -1, -2))
+def _inv_cholesky_oracle(S):
+    """X = L^{-1} for S = L L^T."""
+    return np.linalg.inv(np.linalg.cholesky(_sym_oracle(S)))
 
 
 def _diag_blocks_oracle(M):
@@ -374,11 +445,11 @@ def _diag_blocks_oracle(M):
 
 def ja_oracle(R, offline):
     g, s, weight = offline.g_a, offline.s_a, offline.weight
-    S_inv_sqrt = _inv_sqrt_oracle(_reduced_oracle(s, R))
+    X = _inv_cholesky_oracle(_reduced_oracle(s, R))
     I_R = expand(R)
-    Z = g @ I_R @ S_inv_sqrt
+    Z = g @ I_R @ np.swapaxes(X, 1, 2)
     value = -float(weight @ np.sum(Z * Z, axis=(1, 2)))
-    W = Z @ S_inv_sqrt
+    W = Z @ X
     D = np.swapaxes(g, 1, 2) @ W - s @ I_R @ (np.swapaxes(W, 1, 2) @ W)
     return value, -2.0 * _diag_blocks_oracle(np.tensordot(weight, D, axes=1))
 
@@ -387,9 +458,9 @@ def je_oracle(R, offline):
     m, s, weight = offline.m_e, offline.s_b, offline.weight
     S_red = _reduced_oracle(s, R)
     H_red = _reduced_oracle(m, R)
-    S_inv_sqrt = _inv_sqrt_oracle(S_red)
-    vals, vecs = np.linalg.eigh(_sym_oracle(S_inv_sqrt @ H_red @ S_inv_sqrt))
-    C = S_inv_sqrt @ vecs[..., :2]
+    X = _inv_cholesky_oracle(S_red)
+    vals, vecs = np.linalg.eigh(_sym_oracle(X @ H_red @ np.swapaxes(X, 1, 2)))
+    C = np.swapaxes(X, 1, 2) @ vecs[..., :2]
     residual = offline.e_ref - (vals[..., 0] + vals[..., 1])
     value = float(weight @ residual**2)
     Ct = np.swapaxes(C, 1, 2)

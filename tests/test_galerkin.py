@@ -77,14 +77,42 @@ class TestReducedOverlap:
         np.testing.assert_allclose(red[:2, 2:], R.T @ sigma @ R, atol=1e-12)
 
 
+def _eigenvalue_guard(S, a=None):
+    """The condition test as it was before the Cholesky factor: one eigh of
+    the stack, then the first matrix whose condition number exceeds 1e12
+    (inf for a non-positive spectrum) is named. Returns the message it
+    raised with, or None."""
+    vals = np.linalg.eigh(S)[0]
+    smin, smax = vals[..., 0], vals[..., -1]
+    cond = np.divide(smax, smin, out=np.full(smin.shape, np.inf), where=smin > 0)
+    bad = cond > 1e12
+    if not bad.any():
+        return None
+    n = bad.argmax()
+    where = "" if a is None else f" at a={float(np.ravel(a)[n])}"
+    return (
+        f"overlap matrix ill-conditioned{where}: min eigenvalue "
+        f"{smin.flat[n]:.3e}, condition number {cond.flat[n]:.3e}"
+    )
+
+
+def _spd(rng, eigenvalues):
+    """Symmetric matrix with the given spectrum and random eigenvectors."""
+    n = len(eigenvalues)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    S = (Q * np.asarray(eigenvalues)) @ Q.T
+    return 0.5 * (S + S.T)
+
+
 class TestInvSqrtSpd:
+    """inv_sqrt_spd: the inverse Cholesky square root X = L^{-1} of an SPD
+    matrix, X^T X = S^{-1}, and the condition test that guards it."""
+
     def test_identity(self):
-        result, cond = inv_sqrt_spd(np.eye(3))
-        np.testing.assert_allclose(result, np.eye(3), atol=1e-14)
-        assert cond == pytest.approx(1.0)
+        np.testing.assert_array_equal(inv_sqrt_spd(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
-        result, _ = inv_sqrt_spd(np.diag([4.0, 1.0]))
+        result = inv_sqrt_spd(np.diag([4.0, 1.0]))
         np.testing.assert_allclose(result, np.diag([0.5, 1.0]), atol=1e-14)
 
     @given(seed=st.integers(0, 10_000))
@@ -93,9 +121,9 @@ class TestInvSqrtSpd:
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((8, 8))
         S = M @ M.T + 0.5 * np.eye(8)
-        result, cond = inv_sqrt_spd(S)
-        np.testing.assert_allclose(result @ S @ result, np.eye(8), atol=1e-10)
-        assert cond >= 1.0
+        X = inv_sqrt_spd(S)
+        np.testing.assert_allclose(X @ S @ X.T, np.eye(8), atol=1e-10)
+        np.testing.assert_allclose(X.T @ X, np.linalg.inv(S), atol=1e-10)
 
     def test_singular_raises(self):
         with pytest.raises(OvercompletenessError) as exc_info:
@@ -110,12 +138,11 @@ class TestInvSqrtSpd:
     def test_stack_matches_single_matrices(self, rng):
         M = rng.standard_normal((5, 4, 4))
         stack = M @ np.swapaxes(M, 1, 2) + 0.5 * np.eye(4)
-        result, cond = inv_sqrt_spd(stack)
-        assert result.shape == (5, 4, 4) and cond.shape == (5,)
-        for S, res, c in zip(stack, result, cond):
-            single, single_cond = inv_sqrt_spd(S)
+        result = inv_sqrt_spd(stack)
+        assert result.shape == (5, 4, 4)
+        for S, res in zip(stack, result):
+            single = inv_sqrt_spd(S)
             np.testing.assert_allclose(res, single, rtol=1e-12, atol=1e-14)
-            assert c == pytest.approx(single_cond, rel=1e-12)
 
     def test_stack_names_first_bad_matrix(self):
         stack = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, -1.0])])
@@ -123,6 +150,83 @@ class TestInvSqrtSpd:
             inv_sqrt_spd(stack, a=[1.5, 2.0, 2.5])
         assert exc_info.value.a == 2.0
         assert exc_info.value.cond == np.inf
+
+    def test_loose_bound_goes_to_the_eigenvalue_test(self, rng, monkeypatch):
+        # six unit eigenvalues and six at 2e-12: cond 5e11 passes, but
+        # |S|_F |X|_F^2 is about 7e12, so the bound does not clear the stack
+        stack = np.stack([_spd(rng, [1.0] * 6 + [2e-12] * 6) for _ in range(3)])
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S) or eigh(S))
+        X = inv_sqrt_spd(stack, a=[1.5, 2.0, 2.5])
+        assert len(calls) == 1 and _eigenvalue_guard(stack) is None
+        np.testing.assert_array_equal(X, np.linalg.inv(np.linalg.cholesky(stack)))
+
+    def test_tight_bound_skips_the_eigenvalue_test(self, rng, monkeypatch):
+        stack = np.stack([_spd(rng, np.geomspace(1.0, 1e-6, 12)) for _ in range(3)])
+        monkeypatch.setattr(np.linalg, "eigh", None)  # any call fails
+        X = inv_sqrt_spd(stack)
+        np.testing.assert_array_equal(X, np.linalg.inv(np.linalg.cholesky(stack)))
+
+    def test_ill_conditioned_mid_stack_message_unchanged(self, rng):
+        spectra = ([1.0] * 11 + [1e-6], [1.0] * 11 + [0.98e-12], [1.0] * 11 + [1e-3])
+        stack = np.stack([_spd(rng, spectrum) for spectrum in spectra])
+        a = [1.5, 2.0, 2.5]
+        with pytest.raises(OvercompletenessError) as exc_info:
+            inv_sqrt_spd(stack, a=a)
+        assert exc_info.value.a == 2.0
+        assert 1e12 < exc_info.value.cond < 1.1e12
+        assert str(exc_info.value) == _eigenvalue_guard(stack, a)
+
+    @pytest.mark.parametrize(
+        "S",
+        [
+            np.diag([1.0, -1e-3, 1.0]),  # indefinite
+            np.diag([1.0, 0.0, 1.0]),  # singular
+            np.ones((3, 3)),  # singular, not diagonal
+            np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite, unit diagonal
+            np.full((3, 3), np.nan),
+        ],
+    )
+    def test_not_positive_definite_is_overcompleteness(self, S):
+        with pytest.raises(OvercompletenessError) as exc_info:
+            inv_sqrt_spd(np.stack([np.eye(len(S)), S]), a=[1.5, 2.0])
+        assert exc_info.value.a == 2.0 and exc_info.value.cond == np.inf
+
+    def test_breakdown_on_a_cleared_matrix_uses_eigenvectors(self, rng, monkeypatch):
+        # a factorization that breaks down on a matrix the eigenvalue test
+        # clears still returns an X with X S X^T = I
+        S = _spd(rng, np.geomspace(1.0, 1e-4, 6))
+
+        def breaks_down(_):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", breaks_down)
+        X = inv_sqrt_spd(S)
+        np.testing.assert_allclose(X @ S @ X.T, np.eye(6), atol=1e-10)
+        np.testing.assert_allclose(X.T @ X, np.linalg.inv(S), rtol=1e-10)
+
+    def test_condition_sweep_decides_as_before(self):
+        # cond from 1e10 to 1e13, densest around the limit; each matrix is
+        # raised on exactly when the eigenvalue test alone raised on it
+        rng = np.random.default_rng(12)
+        conds = np.concatenate(
+            [np.geomspace(1e10, 1e13, 61), 1e12 * (1 + np.linspace(-2e-3, 2e-3, 41))]
+        )
+        decisions = {True: 0, False: 0}
+        for cond in conds:
+            for n, fill in ((2, None), (6, 1.0), (12, 1e-6)):
+                middle = [] if fill is None else [fill] * (n - 2)
+                S = _spd(rng, [1.0, *middle, 1.0 / cond])
+                expected = _eigenvalue_guard(S)
+                try:
+                    inv_sqrt_spd(S)
+                    raised = None
+                except OvercompletenessError as exc:
+                    raised = str(exc)
+                assert raised == expected, (cond, n)
+                decisions[raised is not None] += 1
+        assert decisions[True] > 50 and decisions[False] > 50
 
 
 class TestReducedGroundPair:

@@ -173,3 +173,46 @@ def test_bench_records_absent_or_unreadable(tmp_path):
     found = module.problems(str(tmp_path))
     assert found[0].startswith("BENCH_x.json: unreadable")
     assert found[1] == "BENCH_y.json: run 0: no result"
+
+
+def test_bench_summary_is_recomputed_from_the_runs(tmp_path):
+    module = load_script("check_bench_records")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    values = {"parent": [1.0, 2.0, 4.0], "change": [0.5, 3.0, 1.0]}
+    runs = [
+        {
+            "workload": "w",
+            "seed": seed,
+            "side": side,
+            "result": {
+                "correct": True,
+                "failed": 0,
+                "metrics": {"optimize_s": {"value": column[seed - 1]}},
+            },
+        }
+        for side, column in values.items()
+        for seed in (1, 2, 3)
+    ]
+    stated = {
+        "parent_median": 2.0,
+        "parent_quartiles": [1.5, 3.0],
+        "change_median": 1.0,
+        "change_quartiles": [0.75, 2.0],
+        "pairs_change_lower": "2 of 3",
+    }
+
+    def problems(summary, runs=runs):
+        record = {"runs": runs, "summary": {"w": {"seeds": [1, 2, 3], **summary}}}
+        (tmp_path / "BENCH_x.json").write_text(json.dumps(record))
+        return module.problems(str(tmp_path))
+
+    assert problems({"optimize_s": stated}) == []
+    doctored = {**stated, "parent_median": 2.5, "pairs_change_lower": "3 of 3"}
+    assert problems({"optimize_s": doctored}) == [
+        "BENCH_x.json: summary w optimize_s: parent_median is 2.5, runs give 2.0",
+        "BENCH_x.json: summary w optimize_s: pairs_change_lower is '3 of 3', "
+        "runs give '2 of 3'",
+    ]
+    assert problems({"optimize_s": stated}, runs[:-1]) == [
+        "BENCH_x.json: summary w optimize_s: no run for change seed 3"
+    ]

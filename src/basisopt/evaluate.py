@@ -18,7 +18,7 @@ import numpy as np
 from .galerkin import lcao_density, reduced_ground_pair
 from .grid import Grid
 from .hermite import assemble_dimer, hermite_functions
-from .reference import FDWorkspace, build_offline_single, solve_configuration
+from .reference import build_offline_single, solve_configuration
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,13 @@ def curves(bases, a_values, grid: Grid, n_funcs: int) -> list[list[CurvePoint]]:
     by every basis; each basis takes one reduced solve per a. The pass
     makes no cache reads or writes. Raises OvercompletenessError at the
     first point where a basis's reduced overlap is ill-conditioned. The
-    grid-size FD buffers are freed when it returns.
+    full-grid B of the LCAO densities is assembled once per a.
     """
     out = [[] for _ in bases]
-    workspace = FDWorkspace(grid, n_funcs)
-    # the full-grid B of the LCAO densities and its Hermite recurrence rows
-    basis = np.empty((grid.n_points, 2 * n_funcs))
-    rows = np.empty((n_funcs, 2, grid.n_points))
     for a in np.asarray(a_values, dtype=float):
         fd = solve_configuration(grid, a)
-        record = build_offline_single(grid, a, n_funcs, fd, workspace)
-        B = assemble_dimer(grid, a, n_funcs, basis, rows)
+        record = build_offline_single(grid, a, n_funcs, fd)
+        B = assemble_dimer(grid, a, n_funcs)
         rho_ref = (fd.phi1**2 + fd.phi2**2) / grid.dx
         for R, curve in zip(bases, out):
             pair = reduced_ground_pair(record.m_e, record.s_b, R, a=a)

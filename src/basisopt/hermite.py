@@ -68,13 +68,7 @@ def _check_centers(grid: Grid, a: float, n_funcs: int) -> None:
         )
 
 
-def assemble_dimer(
-    grid: Grid,
-    a: float,
-    n_funcs: int,
-    out: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
+def assemble_dimer(grid: Grid, a: float, n_funcs: int) -> np.ndarray:
     """Assemble B_a = [basis at +a | basis at -a], shape (n_points, 2 n_funcs),
     as read-only sqrt(dx)-scaled columns.
 
@@ -84,22 +78,19 @@ def assemble_dimer(
 
     Both centres run through one Hermite recurrence on contiguous rows,
     shape (n_funcs, 2, n_points), which are scaled and copied once into the
-    column layout of B. A C-contiguous `out` receives B and `rows` holds
-    the recurrence when given; the returned array then views `out`. Tails
-    cut by the box warn, a centre outside it raises ValueError.
+    column layout of B. Tails cut by the box warn, a centre outside it
+    raises ValueError.
     """
     _check_centers(grid, a, n_funcs)
     centers = np.array([[a], [-a]], dtype=float)
-    rows = hermite_functions(grid.points - centers, n_funcs, rows)
-    if out is None:
-        out = np.empty((grid.n_points, 2 * n_funcs))
+    rows = hermite_functions(grid.points - centers, n_funcs)
+    B = np.empty((grid.n_points, 2 * n_funcs))
     # B[:, s * n_funcs + k] = sqrt(dx) h_k(x - centre_s)
     np.multiply(
         np.sqrt(grid.dx),
         rows.transpose(2, 1, 0),
-        out=out.reshape(grid.n_points, 2, n_funcs),
+        out=B.reshape(grid.n_points, 2, n_funcs),
     )
-    B = out.view()
     B.setflags(write=False)
     return B
 

@@ -21,12 +21,9 @@ works in the even/odd basis of x -> -x: solve_ground_pair takes phi1
 iteration with shifts that a factorization proves to lie below its
 spectrum, and build_offline_single makes each record from Gram products
 of the even and odd parts of B on the half grid x >= 0, without forming
-B. Every build goes through an FDWorkspace, whose half-grid buffers hold
-those parts with the FD pair, the Hermite recurrence rows, then the
-differences D of the parts.
-A loop over configurations passes one workspace to every build, so no
-configuration allocates a grid-size array; a build given none makes its
-own. The records own their memory.
+B. Each build makes one half-grid buffer, which holds those parts with
+the FD pair, the Hermite recurrence rows, then the differences D of the
+parts. The records own their memory.
 
 H_FD is never applied to B: H_FD = D^T D / (2 dx^2) + diag(V) exactly,
 so m_e = B^T V B + s_lap / 2 reuses the D B of the H1 overlap and avoids
@@ -244,28 +241,6 @@ def _mirror(u: np.ndarray, n: int, sign: float) -> np.ndarray:
     return v
 
 
-class FDWorkspace:
-    """Half-grid buffers for FD offline builds on one grid with one n_funcs.
-
-    A loop over configurations makes one and passes it to every build, so
-    no configuration allocates a grid-size array. Records own their memory.
-    """
-
-    def __init__(self, grid: Grid, n_funcs: int):
-        half = grid.n_points - grid.n_points // 2
-        # one allocation for both buffers: as two, glibc's malloc reused
-        # them worse, and building the L2 and H1 stacks of K = 200
-        # configurations at 8000 points peaked up to 2.9 MB higher in
-        # resident memory, from run to run
-        buffer = np.empty((2 * half + 1, 2, n_funcs + 1))
-        # rows x >= 0 of sqrt(2) E and sqrt(2) O, each with its FD state as
-        # the last column; then times sqrt(V)
-        self.parts = buffer[:half]
-        # the Hermite recurrence rows until the parts are assembled, then D
-        # applied to the parts
-        self.grad = buffer[half:]
-
-
 def solve_configuration(grid: Grid, a: float) -> GroundPair:
     """The FD ground pair at a, its failure tagged with a."""
     try:
@@ -356,7 +331,6 @@ def build_offline_single(
     a: float,
     n_funcs: int,
     pair: GroundPair | None = None,
-    workspace: FDWorkspace | None = None,
 ) -> OfflineRecord:
     """The offline record of one configuration from one FD solve, or from
     `pair` when the caller has solved it.
@@ -368,14 +342,18 @@ def build_offline_single(
     values, a point x > 0 stands for itself and its mirror image, and so
     does a cell of D right of the centre; the centre point of an odd grid
     and the centre cell of an even grid stand for themselves. The half-grid
-    intermediates live in the buffers of the workspace, a new one when
-    none is given."""
-    if workspace is None:
-        workspace = FDWorkspace(grid, n_funcs)
+    intermediates live in one buffer that the build allocates and frees."""
     if pair is None:
         pair = solve_configuration(grid, a)
     n, N = grid.n_points, n_funcs
-    F, DF = workspace.parts, workspace.grad
+    half = n - n // 2
+    # one allocation: with F, D F and the rows apart, glibc's malloc reused
+    # them worse, and the first L2 and H1 pass of K = 200 configurations at
+    # 8000 points took 136k-180k minor page faults instead of 12k
+    buffer = np.empty((2 * half + 1, 2, N + 1))
+    # F: rows x >= 0 of sqrt(2) E and sqrt(2) O, each with its FD state as
+    # the last column; then times sqrt(V). D F: the cells of D applied to F.
+    F, DF = buffer[:half], buffer[half:]
     # the Hermite recurrence rows borrow the memory of D F until it is made
     rows = DF.reshape(-1)[: 2 * N * len(F)].reshape(N, 2, len(F))
     assemble_parity(grid, a, N, F[..., :N].transpose(1, 0, 2), rows)
@@ -516,8 +494,7 @@ def load_or_build_each(
 ):
     """Yield the record of each configuration in turn with its status:
     "cached", "computed" (no entry) or "rebuilt" (an unreadable or foreign
-    entry replaced). The misses build through one FDWorkspace."""
-    workspace = FDWorkspace(grid, n_funcs)
+    entry replaced)."""
     for a in a_values:
         status = "computed"
         if cache_dir is not None:
@@ -527,7 +504,7 @@ def load_or_build_each(
                 continue
             if os.path.exists(_cache_path(cache_dir, cache_key(grid, a, n_funcs))):
                 status = "rebuilt"
-        record = build_offline_single(grid, a, n_funcs, workspace=workspace)
+        record = build_offline_single(grid, a, n_funcs)
         if cache_dir is not None:
             save_offline_entry(cache_dir, grid, record)
         yield record, status

@@ -53,20 +53,14 @@ def test_rows_equal_column_recurrence(n_funcs):
     )
 
 
-@pytest.mark.parametrize("buffers", [False, True], ids=["fresh", "out"])
-def test_dimer_equals_column_recurrence(buffers):
+def test_dimer_equals_column_recurrence():
     g = build_grid(20.0, 1999)
     expected = np.hstack(
         [np.sqrt(g.dx) * column_recurrence(g.points - c, 10) for c in (1.7, -1.7)]
     )
-    out = rows = None
-    if buffers:  # filled with garbage that must be overwritten
-        out, rows = np.full((1999, 20), np.nan), np.full((10, 2, 1999), np.nan)
-    b = assemble_dimer(g, 1.7, 10, out, rows)
+    b = assemble_dimer(g, 1.7, 10)
     np.testing.assert_array_equal(b, expected)
     assert not b.flags.writeable
-    if buffers:
-        assert np.shares_memory(b, out) and out.flags.writeable
 
 
 def test_ground_state_value_at_center():

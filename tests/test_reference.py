@@ -11,7 +11,6 @@ from basisopt.grid import TridiagOperator, build_grid, fd_hamiltonian
 from basisopt.hermite import assemble_dimer
 from basisopt.reference import (
     METRICS,
-    FDWorkspace,
     Measure,
     build_offline,
     build_offline_single,
@@ -540,12 +539,14 @@ class TestCache:
 
 
 class TestWorkspace:
+    """The half-grid workspace of a build: one buffer, which no record views."""
+
     @pytest.mark.parametrize(
         "x_max, n_points, n_funcs", [(20.0, 1999, 10), (16.0, 801, 4)]
     )
     def test_records_equal_fresh_builds(self, x_max, n_points, n_funcs):
-        # the records are compared after the last build through the
-        # workspace, so a record that aliased its buffers would show
+        # the records are compared after the last build, so a record that
+        # aliased a build's buffer would show
         g = build_grid(x_max, n_points)
         a_values = (0.0, 1.5, 2.25, 3.0)
         records = [r for r, _ in load_or_build_each(g, a_values, n_funcs)]
@@ -556,18 +557,12 @@ class TestWorkspace:
                 assert np.array_equal(getattr(record, name), getattr(fresh, name))
 
     def test_records_never_alias_the_workspace(self, grid_main):
-        ws = FDWorkspace(grid_main, 5)
-        records = [
-            build_offline_single(grid_main, a, 5, workspace=ws) for a in (2.0, 2.5)
-        ]
-        record = build_offline_single(
-            grid_main, 2.0, 5, reference.solve_configuration(grid_main, 2.0), ws
-        )
-        for name in RECORD_FIELDS:
-            assert np.array_equal(getattr(record, name), getattr(records[0], name))
-            for r in (*records, record):
-                for buffer in (ws.parts, ws.grad):
-                    assert not np.shares_memory(getattr(r, name), buffer)
+        # a record that viewed its build's buffer would keep the buffer alive
+        records = [build_offline_single(grid_main, a, 5) for a in (2.0, 2.5)]
+        records += [r for r, _ in load_or_build_each(grid_main, (2.0, 2.5), 5)]
+        for record in records:
+            for name in RECORD_FIELDS:
+                assert getattr(record, name).base is None, name
 
     @pytest.mark.parametrize(
         "x_max, n_points, n_funcs",
@@ -596,16 +591,24 @@ class TestWorkspace:
         tol = 2e-15 * (np.abs(H.diag) + 2 * np.abs(H.offdiag[0])).max()
         assert abs(record.e_ref - oracle.e_ref) <= tol
 
-    def test_warm_build_allocates_less_than_one_basis(self, grid_main):
+    @pytest.mark.parametrize(
+        "x_max, n_points, n_funcs", [(20.0, 1999, 10), (25.0, 8000, 20)]
+    )
+    def test_build_allocates_less_than_one_basis_beside_its_buffer(
+        self, x_max, n_points, n_funcs
+    ):
         # deterministic allocation budget: the half-grid intermediates of a
-        # build live in the workspace, so what is left stays below one
-        # full-grid B of n_points x 2 n_funcs doubles
-        ws = FDWorkspace(grid_main, 10)
-        build_offline_single(grid_main, 2.0, 10, workspace=ws)
+        # build live in its one buffer of (2 half + 1) x 2 x (N + 1)
+        # doubles, and the rest of its peak stays below one full-grid B of
+        # n_points x 2 n_funcs doubles
+        g = build_grid(x_max, n_points)
+        half = n_points - n_points // 2
+        buffer = (2 * half + 1) * 2 * (n_funcs + 1) * 8
+        build_offline_single(g, 2.0, n_funcs)
         tracemalloc.start()
         try:
-            build_offline_single(grid_main, 2.5, 10, workspace=ws)
+            build_offline_single(g, 2.5, n_funcs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < grid_main.n_points * 2 * 10 * 8
+        assert buffer <= peak < buffer + n_points * 2 * n_funcs * 8

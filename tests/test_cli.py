@@ -601,6 +601,26 @@ class TestStartupAndSolves:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_fd_solve_leaves_scipy_linalg_unloaded(self):
+        # the solver loads LAPACK's extension module, which CPython records
+        # under its name, and no scipy package
+        src = os.path.dirname(os.path.dirname(basisopt.__file__))
+        code = (
+            "import sys\n"
+            "from basisopt import reference\n"
+            "from basisopt.grid import build_grid\n"
+            "reference.solve_configuration(build_grid(20.0, 199), 2.0)\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['scipy.linalg._flapack']"
+
     def test_report_one_solve_per_curve_point(self, tmp_path, solves):
         path = tmp_path / "rep.ini"
         path.write_text(SMALL_CONFIG + "\n[report]\ncurve_points = 4\n")

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -205,6 +207,100 @@ def _dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return to_dense(TridiagOperator(diag=d, offdiag=e))
 
 
+def _recording(factor, solve, calls: list):
+    """dpttrf and dpttrs that record factor's info and each solve."""
+
+    def dpttrf(d, e):
+        *factors, info = factor(d, e)
+        calls.append(("factor", info))
+        return (*factors, info)
+
+    def dpttrs(*args):
+        calls.append(("solve", 0))
+        return solve(*args)
+
+    return dpttrf, dpttrs
+
+
+def _solves(calls: list) -> int:
+    return sum(kind == "solve" for kind, _ in calls)
+
+
+class TestLapackLoad:
+    """_lapack_pt loads scipy's LAPACK extension without the scipy.linalg
+    package, and falls back on scipy.linalg.lapack without the file."""
+
+    @pytest.fixture
+    def uncached(self):
+        """_lapack_pt with an empty cache, emptied again afterwards."""
+        reference._lapack_pt.cache_clear()
+        yield
+        reference._lapack_pt.cache_clear()
+
+    def test_solve_then_scipy_import_shares_the_routines(self):
+        src = os.path.dirname(os.path.dirname(reference.__file__))
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from basisopt import reference\n"
+            "from basisopt.grid import build_grid\n"
+            "reference.solve_configuration(build_grid(20.0, 199), 2.0)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "factor, solve = reference._lapack_pt()\n"
+            "assert factor is lapack.dpttrf and solve is lapack.dpttrs\n"
+            "d, e = np.array([2.0, 1.0, 3.0]), np.array([0.5, -0.25])\n"
+            "vals = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)\n"
+            "dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)\n"
+            "assert np.allclose(vals, np.linalg.eigvalsh(dense), rtol=0, atol=1e-14)\n"
+            "print('ok')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+    @pytest.mark.parametrize("lookup", ["missing", "unloadable"])
+    def test_fallback_gives_the_same_pair(
+        self, monkeypatch, tmp_path, uncached, lookup
+    ):
+        import scipy.linalg.lapack as lapack
+
+        grid = build_grid(20.0, 399)
+        # the extension loaded from its file, with no module to reuse
+        monkeypatch.delitem(sys.modules, reference._FLAPACK)
+        factor, solve = reference._lapack_pt()
+        assert factor is lapack.dpttrf and solve is lapack.dpttrs
+        direct_calls = []
+        with monkeypatch.context() as m:
+            routines = _recording(factor, solve, direct_calls)
+            m.setattr(reference, "_lapack_pt", lambda: routines)
+            direct = reference.solve_configuration(grid, 2.0)
+        # no file, or one that does not load: the routines are read from
+        # scipy.linalg.lapack
+        reference._lapack_pt.cache_clear()
+        monkeypatch.delitem(sys.modules, reference._FLAPACK)
+        path = None
+        if lookup == "unloadable":
+            path = tmp_path / "_flapack.so"
+            path.write_bytes(b"not a shared object")
+        monkeypatch.setattr(reference, "_flapack_file", lambda: path and str(path))
+        fallback_calls = []
+        recorded = _recording(factor, solve, fallback_calls)
+        monkeypatch.setattr(lapack, "dpttrf", recorded[0])
+        monkeypatch.setattr(lapack, "dpttrs", recorded[1])
+        fallback = reference.solve_configuration(grid, 2.0)
+        assert _solves(fallback_calls) == _solves(direct_calls) > 0
+        assert (fallback.lambda1, fallback.lambda2) == (direct.lambda1, direct.lambda2)
+        assert np.array_equal(fallback.phi1, direct.phi1)
+        assert np.array_equal(fallback.phi2, direct.phi2)
+
+
 class TestLowestEigenpair:
     """The certified inverse iteration on Jacobi blocks built to take its
     fallback and slow paths, against dense eigh."""
@@ -212,22 +308,9 @@ class TestLowestEigenpair:
     @pytest.fixture
     def lapack_calls(self, monkeypatch):
         """Records dpttrf's info and each dpttrs call."""
-        import scipy.linalg.lapack as lapack
-
         calls = []
-        factor, solve = lapack.dpttrf, lapack.dpttrs
-
-        def dpttrf(d, e):
-            *factors, info = factor(d, e)
-            calls.append(("factor", info))
-            return (*factors, info)
-
-        def dpttrs(*args):
-            calls.append(("solve", 0))
-            return solve(*args)
-
-        monkeypatch.setattr(lapack, "dpttrf", dpttrf)
-        monkeypatch.setattr(lapack, "dpttrs", dpttrs)
+        routines = _recording(*reference._lapack_pt(), calls)
+        monkeypatch.setattr(reference, "_lapack_pt", lambda: routines)
         return calls
 
     @staticmethod
@@ -256,8 +339,7 @@ class TestLowestEigenpair:
         d, e = _two_wells(1e-6)
         self.check_against_dense(d, e, 1e-9)
         assert any(kind == "factor" and info > 0 for kind, info in lapack_calls)
-        solves = sum(kind == "solve" for kind, _ in lapack_calls)
-        assert 20 < solves < reference._MAX_STEPS
+        assert 20 < _solves(lapack_calls) < reference._MAX_STEPS
 
     @pytest.mark.parametrize("a", [1.5, 2.7, 5.0])
     def test_blocks_start_from_the_full_gershgorin_bound(self, lapack_calls, a):
@@ -266,7 +348,7 @@ class TestLowestEigenpair:
         # there it took 10-11 solves. H's bound, min V >= 0, bounds every
         # block too; from it each block takes 6-7 (measured), as on even grids
         solve_ground_pair(fd_hamiltonian(build_grid(20.0, 1999), a))
-        assert sum(kind == "solve" for kind, _ in lapack_calls) <= 14
+        assert _solves(lapack_calls) <= 14
 
     def test_step_cap_fails_closed(self, lapack_calls):
         # a gap of 1e-7: every shift between the levels fails, and the last
@@ -274,7 +356,7 @@ class TestLowestEigenpair:
         d, e = _two_wells(1e-7)
         with pytest.raises(reference.NumericalFailure, match="50 steps"):
             reference._lowest_eigenpair(d, e)
-        assert sum(kind == "solve" for kind, _ in lapack_calls) == 50
+        assert _solves(lapack_calls) == 50
 
 
 class TestBuildOffline:

@@ -17,11 +17,10 @@ import io
 import sys
 import time
 
-from basisopt.criteria import CriterionKind, eval_JA, eval_JE, make_criterion
+from basisopt.criteria import CriterionKind, make_criterion
 from basisopt.galerkin import hbs_coefficients
 from basisopt.grid import build_grid
 from basisopt.reference import (
-    METRICS,
     default_measure,
     load_or_build_each,
     stack_offline,
@@ -43,20 +42,16 @@ def main(argv=None):
     measure = default_measure()
     # one FD solve or cache read per configuration serves both metrics
     pairs = load_or_build_each(grid, measure.points, args.n_funcs, args.cache)
-    records = [record for record, _ in pairs]
-    offline = {
-        metric: stack_offline(records, measure.weights, metric) for metric in METRICS
-    }
+    stacks = stack_offline([record for record, _ in pairs], measure.weights)
 
     rows = []
     for kind in CriterionKind:
-        data = offline[kind.metric]
-        evaluate = eval_JE if kind is CriterionKind.JE else eval_JA
+        criterion = make_criterion(kind, stacks[kind.metric])
         for n_basis in range(1, 5):
             hbs = hbs_coefficients(args.n_funcs, n_basis)
-            baseline = evaluate(hbs, data)
+            baseline = criterion(hbs)[0]
             start = time.perf_counter()
-            result = minimize(make_criterion(kind, data), hbs)
+            result = minimize(criterion, hbs)
             seconds = time.perf_counter() - start
             rows.append(
                 {

@@ -23,6 +23,7 @@ from basisopt.grid import build_grid
 from basisopt.reference import Measure, build_offline, default_measure, uniform_measure
 from basisopt.stiefel import minimize, random_stiefel
 
+JE = CriterionKind.JE  # the criterion every study optimizes
 SPARSE_MEASURES = {
     "one point near equilibrium": uniform_measure(2.25, 2.25, 1),
     "two points near equilibrium": Measure(points=(1.85, 2.0), weights=(1.0, 1.0)),
@@ -39,8 +40,8 @@ def study_sampling(grid, cache):
     hbs = hbs_coefficients(10, 3)
     results = {}
     for label, measure in SPARSE_MEASURES.items():
-        offline = build_offline(grid, measure, 10, "L2", cache)
-        results[label] = minimize(make_criterion(CriterionKind.JE, offline), hbs)
+        offline = build_offline(grid, measure, 10, JE.metric, cache)
+        results[label] = minimize(make_criterion(JE, offline), hbs)
     bases = [hbs] + [result.R_opt for result in results.values()]
     mse_hbs, *mses = map(curve_mse, curves(bases, default_curve_points(50), grid, 10))
     print(f"HBS N_b=3 whole-curve MSE: {mse_hbs:.3e}")
@@ -52,8 +53,8 @@ def study_sampling(grid, cache):
 
 
 def study_restarts(grid, cache, n_starts):
-    offline = build_offline(grid, default_measure(), 10, "L2", cache)
-    fun = make_criterion(CriterionKind.JE, offline)
+    offline = build_offline(grid, default_measure(), 10, JE.metric, cache)
+    fun = make_criterion(JE, offline)
     values = []
     for seed in range(n_starts):
         rng = np.random.default_rng(seed)
@@ -69,9 +70,9 @@ def study_restarts(grid, cache, n_starts):
 def study_pool(grid, cache):
     measure = default_measure()
     for n_funcs in (10, 5):
-        offline = build_offline(grid, measure, n_funcs, "L2", cache)
+        offline = build_offline(grid, measure, n_funcs, JE.metric, cache)
         result = minimize(
-            make_criterion(CriterionKind.JE, offline),
+            make_criterion(JE, offline),
             hbs_coefficients(n_funcs, 4),
         )
         print(

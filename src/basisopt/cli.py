@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .criteria import CriterionKind, eval_JA, eval_JE, make_criterion
+from .criteria import CriterionKind, make_criterion
 from .evaluate import (
     CURVE_A_MAX,
     CURVE_A_MIN,
@@ -29,7 +29,6 @@ from .galerkin import OvercompletenessError, expand, hbs_coefficients
 from .grid import R_MAX, Grid, build_grid, default_x_max
 from .hermite import assemble_dimer
 from .reference import (
-    METRICS,
     Measure,
     NumericalFailure,
     build_offline,
@@ -346,6 +345,12 @@ def _bases(cfg: RunConfig, args) -> list[tuple[str, np.ndarray]]:
                 f"{doc['R'].shape}) does not match the configuration (grid {grid}, "
                 f"(n_funcs, n_basis) = {shape})"
             )
+        with np.errstate(all="ignore"):  # R scaled far from 1: R^T R over/underflows
+            error = np.linalg.norm(doc["R"].T @ doc["R"] - np.eye(doc["n_basis"]))
+        if not error <= 1e-10:
+            raise ConfigError(
+                f"artifact {label}: R is not orthonormal, |R^T R - I|_F = {error:.1e}"
+            )
         bases.append((label, doc["R"]))
     bases += [(f"HBS_Nb{nb}", hbs_coefficients(cfg.n_funcs, nb)) for nb in hbs]
     labels = [label for label, _ in bases]
@@ -360,12 +365,11 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     m = cfg.measure
     pairs = load_or_build_each(grid, m.points, cfg.n_funcs, cfg.cache_dir)
-    records = [record for record, _ in pairs]  # one read serves both metrics
-    off = {metric: stack_offline(records, m.weights, metric) for metric in METRICS}
+    stacks = stack_offline([r for r, _ in pairs], m.weights)  # one read, one pass
+    criteria = [make_criterion(kind, stacks[kind.metric]) for kind in CriterionKind]
     rows = []
     for label, R in bases:
-        nb, j_l2, j_h1 = R.shape[1], eval_JA(R, off["L2"]), eval_JA(R, off["H1"])
-        j_e = eval_JE(R, off["L2"])
+        nb, (j_l2, j_h1, j_e) = R.shape[1], (J(R)[0] for J in criteria)
         print(f"{label:>12}  Nb={nb}  J_L2={j_l2!r}  J_H1={j_h1!r}  J_E={j_e!r}")
         rows.append((label, _fmt(nb), j_l2, j_h1, j_e))
     write_csv(

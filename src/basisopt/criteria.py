@@ -5,8 +5,9 @@ depend on R only through the reduced 2N_b x 2N_b matrices of each
 configuration. They read an OfflineStack of the K configurations. A call
 forms all K reduced matrices with one matmul against I_R = expand(R),
 makes one batched solve over K and returns the value and the Euclidean
-gradient from it; eval_* and grad_* are thin wrappers over the same
-kernels. The solve is one batched Cholesky factorization
+gradient from it. Callers take make_criterion(kind, stacks[kind.metric]);
+eval_* and grad_*, thin wrappers over the same kernels, serve the
+benchmark harness. The solve is one batched Cholesky factorization
 S_red = L L^T, used through X = L^{-1} (Golub & Van Loan, Matrix
 Computations, sec. 8.7); J_E adds one batched eigh of X H_red X^T.
 J_A takes the rank-2 FD density matrix from its 2 x 2N factor G_A and
@@ -99,22 +100,23 @@ def _je(R, offline: OfflineStack):
 
 
 def eval_JA(R: np.ndarray, offline: OfflineStack) -> float:
-    """-sum_n w_n Tr(G_A^T G_A(a_n) I_R [S^A(B I_R)]^{-1} I_R^T)."""
+    """-sum_n w_n Tr(G_A^T G_A(a_n) I_R [S^A(B I_R)]^{-1} I_R^T), for the
+    benchmark harness; package code uses make_criterion."""
     return _ja(R, offline)[0]
 
 
 def grad_JA(R: np.ndarray, offline: OfflineStack) -> np.ndarray:
-    """Euclidean gradient of eval_JA with respect to R."""
+    """Euclidean gradient of eval_JA in R, for the benchmark harness."""
     return _ja(R, offline)[1]
 
 
 def eval_JE(R: np.ndarray, offline: OfflineStack) -> float:
-    """sum_n w_n |E_ref(a_n) - E_R(a_n)|^2."""
+    """sum_n w_n |E_ref(a_n) - E_R(a_n)|^2, for the benchmark harness."""
     return _je(R, offline)[0]
 
 
 def grad_JE(R: np.ndarray, offline: OfflineStack) -> np.ndarray:
-    """Euclidean gradient of eval_JE with respect to R."""
+    """Euclidean gradient of eval_JE in R, for the benchmark harness."""
     return _je(R, offline)[1]
 
 

@@ -10,10 +10,10 @@ Offline data takes two forms. An OfflineRecord is what the cache stores
 for one configuration, metric-free. An OfflineStack is what the criteria
 read: the (K, 2, 2N) and (K, 2N, 2N) arrays of one metric for the K
 configurations of a measure, with their a, weight and e_ref vectors.
-stack_offline is the one place that maps a metric to the arrays, and
-load_or_build_each the one path through the cache, which holds the
-measure's records only: a curve point builds its record from the FD solve
-it makes anyway (build_offline_single with `pair`).
+stack_offline, one pass for both metrics, is the one place that maps a
+metric to the arrays, and load_or_build_each the one path through the
+cache, which holds the measure's records only: a curve point builds its
+record from the FD solve it makes anyway (build_offline_single with `pair`).
 
 The grid, V and H_FD are mirror-symmetric bit for bit, so the FD layer
 works in the even/odd basis of x -> -x: solve_ground_pair takes phi1
@@ -331,32 +331,32 @@ class OfflineStack:
 
 
 def stack_offline(
-    records: Sequence[OfflineRecord], weights: Sequence[float], metric: str
-) -> OfflineStack:
-    """Stack the records of a measure's configurations for one metric.
+    records: Sequence[OfflineRecord], weights: Sequence[float]
+) -> dict[str, OfflineStack]:
+    """The "L2" and "H1" stacks of a measure's records, from one pass; they
+    share a, weight, e_ref, m_e and s_b, and the L2 s_a is s_b itself.
 
     Each stack is filled in place, with no per-record temporaries."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if len(weights) != len(records):
         raise ValueError(f"{len(records)} records but {len(weights)} weights")
-    s_b = np.stack([r.s_b for r in records])
-    g_a, s_a = np.stack([r.g for r in records]), s_b
-    if metric == "H1":
-        g_a += np.stack([r.g_lap for r in records])
-        s_a = np.stack([r.s_lap for r in records])
-        s_a += s_b
+    g, s_b = np.stack([r.g for r in records]), np.stack([r.s_b for r in records])
+    g_h1 = np.stack([r.g_lap for r in records])
+    g_h1 += g
+    s_h1 = np.stack([r.s_lap for r in records])
+    s_h1 += s_b
     # three contiguous vectors: a strided one takes another BLAS path, and
     # its dot products then differ in the last bits from a copy's
-    return OfflineStack(
+    shared = dict(
         a=np.array([r.a for r in records]),
         weight=np.array(weights, dtype=float),
         e_ref=np.array([r.e_ref for r in records]),
-        g_a=g_a,
-        s_a=s_a,
         m_e=np.stack([r.m_e for r in records]),
         s_b=s_b,
     )
+    return {
+        "L2": OfflineStack(g_a=g, s_a=s_b, **shared),
+        "H1": OfflineStack(g_a=g_h1, s_a=s_h1, **shared),
+    }
 
 
 def _from_parity(even: np.ndarray, odd: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -444,8 +444,10 @@ def build_offline(
 ) -> OfflineStack:
     """The offline stack of the measure's configurations for one metric,
     through the cache when cache_dir is set."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     records = load_or_build_each(grid, measure.points, n_funcs, cache_dir)
-    return stack_offline([r for r, _ in records], measure.weights, metric)
+    return stack_offline([r for r, _ in records], measure.weights)[metric]
 
 
 # -- offline cache -----------------------------------------------------------

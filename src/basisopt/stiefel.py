@@ -12,6 +12,7 @@ and the new gradient.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +117,7 @@ def minimize(
     evaluations = 1
     g = tangent_project(R, G)
     trajectory = [f]
-    S = Y = np.empty((0, *R.shape))  # the curvature pairs, oldest first
+    pairs = deque(maxlen=settings.lbfgs_memory)  # (s, y, s . y), oldest first
     g_norm = _norm(g)
 
     while math.isfinite(f) and math.isfinite(g_norm):
@@ -126,11 +127,11 @@ def minimize(
         if len(trajectory) > settings.max_iter:
             stop_reason = "max_iter reached"
             break
-        direction = -tangent_project(R, _two_loop(g, S, Y))
+        direction = -tangent_project(R, _two_loop(g, pairs))
         slope = _inner(direction, g)
         if slope > -1e-14 * g_norm * _norm(direction):
             direction = -g  # not a descent direction; restart from steepest
-            S = Y = S[:0]
+            pairs.clear()
             slope = _inner(direction, g)
 
         step = INITIAL_STEP
@@ -154,11 +155,9 @@ def minimize(
         g_new = tangent_project(R_new, G_cand)
         s = step * direction
         y = g_new - g
-        if _inner(s, y) > 1e-14 * _norm(s) * _norm(y):
-            # a full memory drops its oldest pair
-            first = max(0, len(S) + 1 - settings.lbfgs_memory)
-            S = np.concatenate((S, s[None]))[first:]
-            Y = np.concatenate((Y, y[None]))[first:]
+        sy = _inner(s, y)
+        if sy > 1e-14 * _norm(s) * _norm(y):
+            pairs.append((s, y, sy))
 
         R, f, g = R_new, f_new, g_new
         g_norm = _norm(g)
@@ -183,25 +182,21 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _two_loop(g: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Standard L-BFGS two-loop recursion over the (k, N, N_b) stacks of
-    stored steps S and gradient changes Y, oldest first.
-
-    All k products y_i . s_i come from one reduction over the stacks; each
-    is bit for bit the pairwise sum of that pair alone.
-    """
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """Standard L-BFGS two-loop recursion over the stored triples
+    (s, y, s . y) of steps and gradient changes, oldest first; each s . y
+    is the one the curvature check computed."""
     q = g.copy()
-    if not len(S):
+    if not pairs:
         return q
-    ys = np.add.reduce(Y * S, axis=(1, 2)).tolist()
-    rhos = [1.0 / v for v in ys]
     alphas = []
-    for rho, s, y in zip(reversed(rhos), S[::-1], Y[::-1]):
-        alpha = rho * _inner(s, q)
+    for s, y, sy in reversed(pairs):
+        alpha = (1.0 / sy) * _inner(s, q)
         q -= alpha * y
         alphas.append(alpha)
-    q *= ys[-1] / _inner(Y[-1], Y[-1])
-    for rho, alpha, s, y in zip(rhos, reversed(alphas), S, Y):
-        beta = rho * _inner(y, q)
+    _, y, sy = pairs[-1]
+    q *= sy / _inner(y, y)
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        beta = (1.0 / sy) * _inner(y, q)
         q += (alpha - beta) * s
     return q

@@ -145,7 +145,7 @@ def test_criterion_5_oracle_equivalence(grid_main):
     A = to_dense(h1_metric(g))
     worst = 0.0
     for a in (1.5, 2.2, 3.0, 4.1, 5.0):
-        data = stack_offline([build_offline_single(g, a, 6)], [1.0], "H1")
+        data = stack_offline([build_offline_single(g, a, 6)], [1.0])["H1"]
         B = assemble_dimer(g, a, 6)
         pair = solve_ground_pair(fd_hamiltonian(g, a))
         P = np.outer(pair.phi1, pair.phi1) + np.outer(pair.phi2, pair.phi2)

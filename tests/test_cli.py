@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import basisopt
@@ -583,6 +585,32 @@ class TestEvaluateReport:
         assert line.startswith("configuration error:")
         assert ("HBS_Nb1" if twice == "hbs" else "JE_Nb1") in line
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
+    def test_non_orthonormal_artifact_is_config_error(
+        self, tmp_path, small_config, capsys, command, scale
+    ):
+        # the same span as an orthonormal R, but R^T R overflows or
+        # underflows: one line, exit 2, no warning and no file written
+        doc = artifact_doc(load_config(small_config), 2)
+        doc["R"] = (scale * np.asarray(doc["R"])).tolist()
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, str(path)], tmp_path, small_config) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error:") and "orthonormal" in line
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
+
+    def test_optimize_artifact_passes_the_orthonormality_check(self, tmp_path):
+        path = tmp_path / "nb2.ini"
+        path.write_text(SMALL_CONFIG.replace("n_basis = 1", "n_basis = 2"))
+        assert run(["optimize"], tmp_path, str(path)) == 0
+        artifact = str(tmp_path / "out" / "basis_JE_Nb2.json")
+        assert run(["evaluate", artifact], tmp_path, str(path)) == 0
 
 
 class TestStartupAndSolves:

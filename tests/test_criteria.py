@@ -151,7 +151,7 @@ class TestGradients:
         # N_b = N: the span is the whole space, the criterion is constant
         # on the fiber, so the Riemannian gradient vanishes; a well-separated
         # dimer keeps the full overlap invertible
-        data = stack_offline([build_offline_single(grid_main, 3.5, 6)], [1.0], "L2")
+        data = stack_offline([build_offline_single(grid_main, 3.5, 6)], [1.0])["L2"]
         R = np.eye(6)
         for grad in (grad_JA, grad_JE):
             T = tangent_project(R, grad(R, data))

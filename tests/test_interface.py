@@ -68,7 +68,7 @@ def test_stack_of_cached_records_equals_fresh_build(tmp_path, metric):
     for _ in load_or_build_each(GRID, MEASURE.points, N_FUNCS, cache):
         pass
     records = [load_cached(cache, GRID, a, N_FUNCS) for a in MEASURE.points]
-    cached = stack_offline(records, MEASURE.weights, metric)
+    cached = stack_offline(records, MEASURE.weights)[metric]
     fresh = build_offline(GRID, MEASURE, N_FUNCS, metric)
     for name in STACK_FIELDS:
         got, expected = getattr(cached, name), getattr(fresh, name)

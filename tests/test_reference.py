@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -428,7 +429,7 @@ class TestBuildOffline:
 
         for metric, AB in (("L2", B), ("H1", h1_metric(grid_main).matvec(B))):
             record = build_offline_single(grid_main, a, n)
-            data = stack_offline([record], [1.0], metric)
+            data = stack_offline([record], [1.0])[metric]
             G = phis.T @ AB
             direct = (
                 G,
@@ -471,17 +472,74 @@ class TestBuildOffline:
         m_e = build_offline_single(grid_main, a, n).m_e
         assert np.abs(m_e - exact).max() <= 3e-15 * np.abs(m_e).max()
 
-    def test_unknown_metric_rejected(self, grid_main):
-        record = build_offline_single(grid_main, 2.0, 3)
-        with pytest.raises(ValueError, match="metric"):
-            stack_offline([record], [1.0], "H2")
+    def test_unknown_metric_rejected(self, tmp_path, grid_main, monkeypatch):
+        # rejected before any FD solve or cache write
+        calls = []
+        monkeypatch.setattr(
+            reference, "solve_ground_pair", lambda *args: calls.append(args)
+        )
+        measure = uniform_measure(1.5, 3.0, 4)
+        message = "unknown metric 'H2', expected one of ('L2', 'H1')"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_offline(grid_main, measure, 3, "H2", str(tmp_path))
+        assert calls == [] and os.listdir(tmp_path) == []
+
+    @pytest.fixture
+    def records(self, grid_main):
+        return [build_offline_single(grid_main, a, 4) for a in (1.5, 2.5, 4.0)]
+
+    def test_one_pass_stacks_share_their_arrays(self, records):
+        stacks = stack_offline(records, [0.5, 1.0, 2.0])
+        l2, h1 = stacks["L2"], stacks["H1"]
+        assert list(stacks) == list(METRICS)
+        assert l2.s_a is l2.s_b is h1.s_b
+        for name in ("a", "weight", "e_ref", "m_e"):
+            assert getattr(l2, name) is getattr(h1, name), name
+
+    def test_one_pass_stacks_equal_the_per_metric_formulas(self, records):
+        # the stacks a pass for one metric at a time made, bit for bit:
+        # G_H1 = g + g_lap and S_H1 = s_lap + s_b, each summed in place
+        def stack(name):
+            return np.stack([getattr(r, name) for r in records])
+
+        g_h1, s_h1 = stack("g"), stack("s_lap")
+        g_h1 += stack("g_lap")
+        s_h1 += stack("s_b")
+        per_metric = {
+            "L2": {"g_a": stack("g"), "s_a": stack("s_b")},
+            "H1": {"g_a": g_h1, "s_a": s_h1},
+        }
+        weights = [0.5, 1.0, 2.0]
+        shared = {
+            "a": np.array([r.a for r in records]),
+            "weight": np.array(weights),
+            "e_ref": np.array([r.e_ref for r in records]),
+            "m_e": stack("m_e"),
+            "s_b": stack("s_b"),
+        }
+        for metric, data in stack_offline(records, weights).items():
+            for name, expected in {**shared, **per_metric[metric]}.items():
+                got = getattr(data, name)
+                assert got.flags.c_contiguous, (metric, name)
+                assert got.dtype == expected.dtype, (metric, name)
+                assert np.array_equal(got, expected), (metric, name)
+
+    def test_je_identical_on_both_stacks(self, records, rng):
+        # J_E reads m_e and s_b only, which the two stacks share
+        from basisopt.criteria import CriterionKind, make_criterion
+
+        stacks = stack_offline(records, [0.5, 1.0, 2.0])
+        R = hbs_coefficients(4, 2) + 0.1 * rng.standard_normal((4, 2))
+        l2, h1 = (make_criterion(CriterionKind.JE, stacks[m])(R) for m in METRICS)
+        assert l2[0] == h1[0]
+        assert np.array_equal(l2[1], h1[1])
 
     @pytest.mark.parametrize("count", [0, 2])
     def test_weight_count_checked_before_stacking(self, count):
         # the count is checked first: no record is read, and an empty list
         # gets this message, not the one np.stack gives for no arrays
         with pytest.raises(ValueError, match=f"{count} records but 1 weights"):
-            stack_offline([object()] * count, [1.0], "L2")
+            stack_offline([object()] * count, [1.0])
 
     def test_compressed_matches_dense_projector(self, rng):
         # small-instance oracle: j_A from the compressed matrices equals
@@ -496,7 +554,7 @@ class TestBuildOffline:
         a = 2.3
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            data = stack_offline([build_offline_single(g, a, 6)], [1.0], "H1")
+            data = stack_offline([build_offline_single(g, a, 6)], [1.0])["H1"]
             B = assemble_dimer(g, a, 6)
         A = to_dense(h1_metric(g))
         pair = solve_ground_pair(fd_hamiltonian(g, a))
@@ -528,7 +586,7 @@ class TestCache:
         cached = build_offline(grid_main, m, 5, metric, str(tmp_path))
         assert len(os.listdir(tmp_path)) == len(m.points)
         records = [build_offline_single(grid_main, a, 5) for a in m.points]
-        fresh = stack_offline(records, m.weights, metric)
+        fresh = stack_offline(records, m.weights)[metric]
         assert cached.a.tolist() == list(m.points)
         assert cached.weight.tolist() == list(m.weights)
         for name in ("e_ref", *OFFLINE_FIELDS):
@@ -664,7 +722,7 @@ class TestWorkspace:
             assert err <= 1e-14 * np.abs(expected).max(), name
         for metric in METRICS:
             got, expected = (
-                stack_offline([r], [1.0], metric).g_a[0] for r in (record, oracle)
+                stack_offline([r], [1.0])[metric].g_a[0] for r in (record, oracle)
             )
             got, expected = got.T @ got, expected.T @ expected
             err = np.abs(got - expected).max()

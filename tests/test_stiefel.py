@@ -263,15 +263,14 @@ def test_minimize_matches_per_pair_oracle(offline_l2, kind, n_basis, memory):
 
 @pytest.mark.parametrize("n, n_basis", [(10, 1), (10, 2), (10, 3), (10, 4), (20, 6)])
 def test_two_loop_products_match_each_pair(rng, n, n_basis):
-    # the two-loop recursion takes every y_i . s_i from one reduction over
-    # the stacked memory; each must be the pairwise sum of that pair alone
+    # the two-loop recursion takes every s_i . y_i from the curvature check
+    # that stored the pair; it must give the oracle's direction bit for bit
     S = rng.standard_normal((10, n, n_basis))
     Y = S * rng.uniform(0.5, 2.0, S.shape)
-    stacked = np.add.reduce(Y * S, axis=(1, 2))
-    assert all(stacked[i] == np.sum(Y[i] * S[i]) for i in range(len(S)))
     history = deque(zip(S, Y))
+    pairs = deque((s, y, stiefel._inner(s, y)) for s, y in history)
     g = rng.standard_normal((n, n_basis))
-    assert np.array_equal(stiefel._two_loop(g, S, Y), per_pair_two_loop(g, history))
+    assert np.array_equal(stiefel._two_loop(g, pairs), per_pair_two_loop(g, history))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -12,6 +12,7 @@ import configparser
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from .evaluate import (
     overlap_condition_sweep,
 )
 from .galerkin import OvercompletenessError, expand, hbs_coefficients
-from .grid import R_MAX, Grid, build_grid, default_x_max
+from .grid import Grid, box_margin, build_grid, default_x_max
 from .hermite import assemble_dimer
 from .reference import (
     Measure,
@@ -65,7 +66,7 @@ class RunConfig:
     def grid(self) -> Grid:
         x_max = self.x_max
         if x_max is None:
-            x_max = default_x_max(self.measure.a_max)
+            x_max = default_x_max(self.measure.a_max, self.n_funcs)
         return build_grid(x_max, self.n_points)
 
 
@@ -384,10 +385,11 @@ def cmd_report(cfg: RunConfig, args) -> int:
     bases = _bases(cfg, args)
     grid = cfg.grid()
     # end the curve where the box still holds the basis tails
-    a_end = min(CURVE_A_MAX, grid.x_max - R_MAX)
+    margin = box_margin(cfg.n_funcs)
+    a_end = min(CURVE_A_MAX, grid.x_max - margin)
     if a_end < CURVE_A_MIN:
         raise ConfigError(
-            f"report needs x_max >= {CURVE_A_MIN + R_MAX} for its curve from "
+            f"report needs x_max >= {CURVE_A_MIN + margin} for its curve from "
             f"a = {CURVE_A_MIN}, got x_max = {grid.x_max}"
         )
     a_values = default_curve_points(cfg.curve_points, a_end)
@@ -477,8 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI prints it: one line, without its source."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line
     try:
         if args.seed < 0:  # numpy's generators take no negative seed
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -497,6 +505,8 @@ def main(argv=None) -> int:
     except (NumericalFailure, OvercompletenessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ NumPy reductions, so values are bit-reproducible.
 
 from __future__ import annotations
 
-import warnings
 from enum import Enum
 
 import numpy as np
@@ -33,8 +32,6 @@ from .galerkin import (
 )
 from .reference import OfflineStack
 
-GAP_TOL = 1e-10
-
 
 class CriterionKind(str, Enum):
     JA_L2 = "JA_L2"
@@ -44,10 +41,6 @@ class CriterionKind(str, Enum):
     @property
     def metric(self) -> str:
         return {"JA_L2": "L2", "JA_H1": "H1", "JE": "L2"}[self.value]
-
-
-class DegenerateGapWarning(UserWarning):
-    """Third Ritz value degenerate with the occupied pair."""
 
 
 def _diag_blocks_sum(M: np.ndarray) -> np.ndarray:
@@ -80,14 +73,6 @@ def _je(R, offline: OfflineStack):
     """Value and gradient of J_E = sum_n w_n (E_ref - E_R)^2."""
     m, s, weight, a = offline.m_e, offline.s_b, offline.weight, offline.a
     pair = reduced_ground_pair(m, s, R, a=a)
-    gap = pair.mu3 - pair.mu2
-    for n in (gap < GAP_TOL).nonzero()[0]:
-        warnings.warn(
-            f"third Ritz value degenerate with the occupied pair at "
-            f"a={a[n]} (gap {gap[n]:.3e})",
-            DegenerateGapWarning,
-            stacklevel=3,
-        )
     residual = offline.e_ref - pair.energy
     value = float(weight @ residual**2)
     # dE_R/dI_R = 2 (M I_R P - S I_R Q), P = C C^T, Q = C diag(mu1, mu2) C^T

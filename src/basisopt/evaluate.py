@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import lcao_density, reduced_ground_pair
+from .galerkin import expand, lcao_density, reduced_ground_pair
 from .grid import Grid
 from .hermite import assemble_dimer, hermite_functions
 from .reference import build_offline_single, solve_configuration
@@ -54,8 +54,9 @@ def curves(bases, a_values, grid: Grid, n_funcs: int) -> list[list[CurvePoint]]:
     Each a takes one FD solve and one offline record built from it, shared
     by every basis; each basis takes one reduced solve per a. The pass
     makes no cache reads or writes. Raises OvercompletenessError at the
-    first point where a basis's reduced overlap is ill-conditioned. The
-    full-grid B of the LCAO densities is assembled once per a.
+    first point where a basis's reduced overlap is ill-conditioned and
+    warns where its occupied pair is degenerate. The full-grid B of the
+    LCAO densities and of the columns B I_R is assembled once per a.
     """
     out = [[] for _ in bases]
     for a in np.asarray(a_values, dtype=float):
@@ -73,7 +74,7 @@ def curves(bases, a_values, grid: Grid, n_funcs: int) -> list[list[CurvePoint]]:
                     e_ref=record.e_ref,
                     e_basis=float(pair.energy),
                     abs_error=float(abs(record.e_ref - pair.energy)),
-                    cond=float(pair.cond),
+                    cond=_condition_number(B @ expand(R)),
                     l1=l1,
                     h1=h1,
                     vw=vw,
@@ -112,16 +113,23 @@ def density_error(
     )
 
 
+def _condition_number(columns: np.ndarray) -> float:
+    """Condition number of the Gram matrix of the sampled columns,
+    (s_max / s_min)^2 from their singular values, infinite when s_min is 0:
+    accurate up to about 1/eps^2, where an eigensolve of the Gram matrix
+    stops at 1/eps (Higham, Accuracy and Stability, ch. 20)."""
+    # of the tall columns: faster than of their transpose
+    s = np.linalg.svd(columns, compute_uv=False)
+    return float((s[0] / s[-1]) ** 2) if s[-1] > 0 else np.inf
+
+
 def overlap_condition_sweep(n_basis: int, a_values) -> list[tuple[float, float]]:
     """Condition number of the analytic-quadrature HBS overlap per a.
 
     The overlap is the Gram matrix of the sampled columns
-    sqrt(dx) [H_+, H_-] of the two centres' N_b Hermite functions, so its
-    condition number is (s_max / s_min)^2 from their singular values,
-    infinite when s_min is 0. Reading it from the columns, not from the
-    Gram matrix, keeps it accurate up to about 1/eps^2 rather than 1/eps.
-    The columns are sampled on a dedicated wide fine grid, so even a = 0.1
-    is resolved.
+    sqrt(dx) [H_+, H_-] of the two centres' N_b Hermite functions. The
+    columns are sampled on a dedicated wide fine grid, so even a = 0.1 is
+    resolved.
     """
     out = []
     quad_grid_x = np.linspace(-30.0, 30.0, 12001)
@@ -133,8 +141,5 @@ def overlap_condition_sweep(n_basis: int, a_values) -> list[tuple[float, float]]
                 hermite_functions(quad_grid_x + a, n_basis),
             ]
         )
-        # of the 12001 x 2 N_b columns: faster than of their transpose
-        s = np.linalg.svd(np.sqrt(dxq) * rows.T, compute_uv=False)
-        cond = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf
-        out.append((float(a), float(cond)))
+        out.append((float(a), _condition_number(np.sqrt(dxq) * rows.T)))
     return out

@@ -7,14 +7,15 @@ compressed 2N x 2N offline matrices, never on the grid.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .grid import Grid
 
 DEFAULT_COND_LIMIT = 1e12
+GAP_TOL = 1e-10
 
 
 class OvercompletenessError(RuntimeError):
@@ -24,6 +25,10 @@ class OvercompletenessError(RuntimeError):
         super().__init__(message)
         self.cond = cond
         self.a = a
+
+
+class DegenerateGapWarning(UserWarning):
+    """Third Ritz value degenerate with the occupied pair."""
 
 
 def expand(R: np.ndarray) -> np.ndarray:
@@ -118,20 +123,11 @@ class ReducedGroundPair:
 
     mu1: float
     mu2: float
-    mu3: float  # third Ritz value, kept for gap diagnostics
     C: np.ndarray = field(repr=False)  # 2N_b x 2, S-orthonormal
-    S_red: np.ndarray = field(repr=False)  # the reduced overlap it solved
 
     @property
     def energy(self) -> float:
         return self.mu1 + self.mu2
-
-    @cached_property
-    def cond(self) -> float:
-        """Condition number of the reduced overlap, from its eigenvalues;
-        computed on first read, so a solve that never reads it never pays.
-        A scalar for one matrix."""
-        return _condition(np.linalg.eigh(self.S_red)[0])[()]
 
 
 def reduced_ground_pair(
@@ -146,21 +142,24 @@ def reduced_ground_pair(
     of X H_red X^T and C = X^T U[:, :2] (Golub & Van Loan, Matrix
     Computations, sec. 8.7). The offline matrices may be (K, 2N, 2N)
     stacks, with `a` holding one configuration per matrix; one batched
-    factorization and one batched eigensolve then serve all K.
+    factorization and one batched eigensolve then serve all K. Warns
+    DegenerateGapWarning for each matrix whose third Ritz value is within
+    GAP_TOL of the second (N_b = 1 has no third).
     """
-    S_red = reduced_overlap(s_block, R)
-    H_red = reduced_overlap(m_e_offline, R)
-    X = inv_sqrt_spd(S_red, a=a)
+    X = inv_sqrt_spd(reduced_overlap(s_block, R), a=a)
     Xt = X.swapaxes(-1, -2)
+    H_red = reduced_overlap(m_e_offline, R)
     vals, vecs = np.linalg.eigh(_sym(X @ H_red @ Xt))
-    mu3 = vals[..., 2] if vals.shape[-1] > 2 else np.inf
-    return ReducedGroundPair(
-        mu1=vals[..., 0],
-        mu2=vals[..., 1],
-        mu3=mu3,
-        C=Xt @ vecs[..., :2],
-        S_red=S_red,
-    )
+    gap = vals[..., 2:3] - vals[..., 1:2]  # empty when N_b = 1
+    for n in np.flatnonzero(gap < GAP_TOL):
+        where = "" if a is None else f" at a={np.ravel(a)[n]}"
+        warnings.warn(
+            f"third Ritz value degenerate with the occupied pair{where} "
+            f"(gap {gap.flat[n]:.3e})",
+            DegenerateGapWarning,
+            stacklevel=2,
+        )
+    return ReducedGroundPair(mu1=vals[..., 0], mu2=vals[..., 1], C=Xt @ vecs[..., :2])
 
 
 def lcao_density(

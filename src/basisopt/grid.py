@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Radius beyond which the atomic densities vanish at double precision;
-# default x_max = a_max + R_MAX recovers [-20, 20] for a_max = 5.
+# Least margin between a centre and the box edge; the default x_max =
+# a_max + R_MAX recovers [-20, 20] for a_max = 5 and n_funcs <= 12.
 R_MAX = 15.0
 
 
@@ -78,9 +78,23 @@ def build_grid(x_max: float, n_points: int) -> Grid:
     return Grid(x_max=float(x_max), n_points=int(n_points), dx=dx, points=points)
 
 
-def default_x_max(a_max: float) -> float:
-    """Default box half-width for a measure with largest configuration a_max."""
-    return a_max + R_MAX
+def tail_reach(n_funcs: int) -> float:
+    """Distance from a centre within which the first n_funcs Hermite
+    functions are above double precision: the classical turning point of
+    h_{n-1}, ~sqrt(2n - 1), plus ten units of Gaussian decay."""
+    return np.sqrt(2.0 * n_funcs) + 10.0
+
+
+def box_margin(n_funcs: int) -> float:
+    """Half-width the box needs beyond a centre: R_MAX, or the next whole
+    number above tail_reach(n_funcs) when that is larger (n_funcs > 12)."""
+    return max(R_MAX, float(np.floor(tail_reach(n_funcs))) + 1.0)
+
+
+def default_x_max(a_max: float, n_funcs: int) -> float:
+    """Default box half-width for a measure with largest configuration a_max
+    and n_funcs functions per centre."""
+    return a_max + box_margin(n_funcs)
 
 
 def potential(a: float, x):

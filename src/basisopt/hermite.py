@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, tail_reach
 
 
 def hermite_functions(
@@ -51,11 +51,10 @@ def _check_centers(grid: Grid, a: float, n_funcs: int) -> None:
     """Warn when the tails of the functions at +-a may not fit in the box,
     and reject a centre outside it.
 
-    The classical turning point of h_{n-1} is ~sqrt(2n - 1); ten more units
-    of Gaussian decay push the tails below double precision. Violations only
+    The tails reach tail_reach(n_funcs) beyond the centre. Violations only
     warn: truncation degrades accuracy, not validity.
     """
-    if a + np.sqrt(2.0 * n_funcs) + 10.0 >= grid.x_max:
+    if a + tail_reach(n_funcs) >= grid.x_max:
         warnings.warn(
             f"Hermite tails for a={a}, n_funcs={n_funcs} may be truncated by "
             f"the box [-{grid.x_max}, {grid.x_max}]",

@@ -87,6 +87,11 @@ class TestConfig:
         assert cfg.grid().x_max == 20.0
         assert cfg.n_points == 1999
 
+    def test_default_box_grows_past_twelve_functions(self):
+        # the box holds the Hermite tails sqrt(2N) + 10 beyond a_max = 5
+        boxes = {n: replace(RunConfig(), n_funcs=n).grid().x_max for n in (12, 13, 30)}
+        assert boxes == {12: 20.0, 13: 21.0, 30: 23.0}
+
     def test_parse(self, small_config):
         cfg = load_config(small_config)
         assert cfg.n_funcs == 5
@@ -469,6 +474,16 @@ class TestEvaluateReport:
         second = (tmp_path / "out" / "energy_curve_HBS_Nb1.csv").read_bytes()
         assert first == second
 
+    def test_report_default_box_holds_the_tails_past_twelve_functions(self, tmp_path):
+        # the default box and the curve's end both leave room for the tails
+        # of 13 functions: no TailOverflowWarning, which tier-1 makes an error
+        path = tmp_path / "rep.ini"
+        config = SMALL_CONFIG.replace("n_funcs = 5", "n_funcs = 13")
+        path.write_text(config + "\n[report]\ncurve_points = 3\n")
+        assert run(["report", "--hbs", "1"], tmp_path, str(path)) == 0
+        curve = (tmp_path / "out" / "energy_curve_HBS_Nb1.csv").read_text()
+        assert curve.splitlines()[-1].startswith("3.0,")
+
     def test_no_artifacts_is_usage_error(self, tmp_path, small_config):
         assert run(["evaluate"], tmp_path, small_config) == 2
 
@@ -735,3 +750,33 @@ class TestStartupAndSolves:
         solves.clear()
         assert run(["evaluate", "--hbs", "1"], tmp_path, small_config) == 0
         assert solves == []
+
+
+class TestWarningFormat:
+    def test_each_warning_is_one_line_without_its_source(self, tmp_path):
+        path = tmp_path / "box.ini"
+        path.write_text(
+            "[grid]\nx_max = 7\nn_points = 199\n"
+            "[measure]\nkind = uniform\na_min = 1.5\na_max = 3.0\ncount = 3\n"
+        )
+        src = os.path.dirname(os.path.dirname(basisopt.__file__))
+        args = ["--config", str(path), "--cache", str(tmp_path / "cache"), "reference"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "basisopt.cli", *args],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 3  # one warning per configuration
+        for line in lines:
+            assert line.startswith("warning: Hermite tails for a="), line
+            assert ".py" not in line
+
+    @pytest.mark.parametrize("command", [["reference"], ["evaluate"]])
+    def test_format_restored_after_the_command(self, tmp_path, small_config, command):
+        # evaluate without artifacts fails with exit 2; both restore the format
+        before = warnings.formatwarning
+        run(command, tmp_path, small_config)
+        assert warnings.formatwarning is before

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from basisopt.criteria import (
     CriterionKind,
-    DegenerateGapWarning,
     eval_JA,
     eval_JE,
     grad_JA,
@@ -16,6 +15,7 @@ from basisopt.criteria import (
     make_criterion,
 )
 from basisopt.galerkin import (
+    DegenerateGapWarning,
     OvercompletenessError,
     expand,
     hbs_coefficients,

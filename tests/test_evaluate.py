@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from basisopt import evaluate
 from basisopt.criteria import CriterionKind, eval_JE
 from basisopt.evaluate import (
     curves,
@@ -8,7 +11,13 @@ from basisopt.evaluate import (
     density_error,
     overlap_condition_sweep,
 )
-from basisopt.galerkin import OvercompletenessError, hbs_coefficients
+from basisopt.galerkin import (
+    DegenerateGapWarning,
+    OvercompletenessError,
+    hbs_coefficients,
+    reduced_overlap,
+)
+from basisopt.reference import build_offline_single
 
 
 def curve_point(R, a, grid):
@@ -136,3 +145,27 @@ class TestCurves:
             bases = [hbs_coefficients(10, 2), hbs_coefficients(10, 10)]
             curves(bases, [1.5], grid_main, 10)
         assert info.value.a == 1.5
+
+    def test_degenerate_point_warns(self, grid_main, monkeypatch):
+        # a record whose Hamiltonian is its overlap: every Ritz value is 1,
+        # so the curve warns at that point as J_E does
+        def degenerate(grid, a, n_funcs, fd):
+            record = build_offline_single(grid, a, n_funcs, fd)
+            return dataclasses.replace(record, m_e=record.s_b)
+
+        monkeypatch.setattr(evaluate, "build_offline_single", degenerate)
+        with pytest.warns(DegenerateGapWarning, match="at a=2.5 "):
+            curves([hbs_coefficients(10, 2)], [2.5], grid_main, 10)
+
+    @pytest.mark.parametrize("nb", [1, 2, 3])
+    def test_cond_is_the_reduced_overlap_condition_number(self, grid_main, nb):
+        # the singular values of B I_R give the eigenvalue ratio of its
+        # Gram matrix, the reduced overlap I_R^T s_b I_R; at cond <= 20 the
+        # in-test eigh is itself accurate to a few eps
+        R = hbs_coefficients(10, nb)
+        for a in (1.5, 3.0):
+            record = build_offline_single(grid_main, a, 10)
+            vals = np.linalg.eigh(reduced_overlap(record.s_b, R))[0]
+            expected = vals[-1] / vals[0]
+            cond = curve_point(R, a, grid_main).cond
+            assert cond == pytest.approx(expected, rel=1e-13)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from basisopt.galerkin import (
+    DegenerateGapWarning,
     OvercompletenessError,
     expand,
     hbs_coefficients,
@@ -279,8 +282,43 @@ class TestReducedGroundPair:
         for k in range(len(offline_l2)):
             pair = reduced_ground_pair(H[k], S[k], R)
             assert stacked.energy[k] == pytest.approx(pair.energy, rel=1e-13)
-            assert stacked.mu3[k] == pytest.approx(pair.mu3, rel=1e-13)
-            assert stacked.cond[k] == pytest.approx(pair.cond, rel=1e-10)
+            assert stacked.mu2[k] == pytest.approx(pair.mu2, rel=1e-13)
+            # C up to the signs of its columns: the occupied projector
+            P = pair.C @ pair.C.T
+            np.testing.assert_allclose(
+                stacked.C[k] @ stacked.C[k].T, P, rtol=1e-10, atol=1e-12
+            )
+
+    def test_fields_are_the_ritz_pair_only(self, offline_l2):
+        pair = reduced_ground_pair(
+            offline_l2.m_e[0], offline_l2.s_b[0], hbs_coefficients(10, 3)
+        )
+        assert [f.name for f in dataclasses.fields(pair)] == ["mu1", "mu2", "C"]
+
+    def test_degenerate_pencil_warns_with_its_configuration(self):
+        # m = s = I: every Ritz value is 1, so the third meets the second
+        gap = r"at a=2\.5 \(gap 0\.000e\+00\)"
+        with pytest.warns(DegenerateGapWarning, match=gap):
+            reduced_ground_pair(np.eye(4), np.eye(4), np.eye(2), a=2.5)
+        with pytest.warns(DegenerateGapWarning, match="pair \\(gap"):
+            reduced_ground_pair(np.eye(4), np.eye(4), np.eye(2))
+
+    def test_stack_warns_for_each_degenerate_matrix_only(self, offline_l2):
+        # the separated pencil of configuration 0 next to two degenerate ones
+        R = hbs_coefficients(10, 2)
+        eye = np.eye(20)
+        H = np.stack([offline_l2.m_e[0], eye, eye])
+        S = np.stack([offline_l2.s_b[0], eye, eye])
+        with pytest.warns(DegenerateGapWarning) as record:
+            reduced_ground_pair(H, S, R, a=np.array([1.5, 2.0, 3.25]))
+        messages = [str(w.message) for w in record]
+        assert len(messages) == 2
+        assert "a=2.0 " in messages[0] and "a=3.25 " in messages[1]
+
+    def test_one_function_per_centre_has_no_gap_to_check(self):
+        # N_b = 1 gives two Ritz values: nothing to warn of, even when equal
+        pair = reduced_ground_pair(np.eye(2), np.eye(2), np.eye(1), a=1.0)
+        assert pair.mu1 == pair.mu2 == 1.0
 
     def test_full_space_matches_dense_rayleigh_ritz(self, grid_main):
         # dual route: generalized eigensolver on the explicit columns

@@ -1,10 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
-from basisopt.grid import TridiagOperator, build_grid
+from basisopt.grid import (
+    R_MAX,
+    TridiagOperator,
+    build_grid,
+    default_x_max,
+    tail_reach,
+)
 from basisopt.hermite import (
     TailOverflowWarning,
     assemble_dimer,
@@ -185,3 +192,29 @@ def test_parity_path_keeps_the_dimer_checks():
         build_offline_single(g, 6.0, 3)
     with pytest.warns(TailOverflowWarning):
         build_offline_single(build_grid(10.0, 999), 5.0, 10)
+
+
+class TestDefaultBox:
+    @pytest.mark.parametrize("a_max", [1.5, 5.0])
+    def test_default_box_holds_the_tails(self, a_max):
+        # sqrt(2N) + 10 is whole at N = 8, 18 and 32: the margin stays strict
+        for n_funcs in range(1, 41):
+            x_max = default_x_max(a_max, n_funcs)
+            assert x_max - a_max > tail_reach(n_funcs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TailOverflowWarning)
+                assemble_dimer(build_grid(x_max, 99), a_max, n_funcs)
+
+    @pytest.mark.parametrize("a_max", [0.5, 3.0, 5.0])
+    def test_same_box_up_to_twelve_functions(self, a_max):
+        for n_funcs in range(1, 13):
+            assert default_x_max(a_max, n_funcs) == a_max + R_MAX
+        assert default_x_max(a_max, 13) > a_max + R_MAX
+
+    @pytest.mark.parametrize("n_funcs", [8, 13, 18])
+    def test_check_reads_the_same_reach(self, n_funcs):
+        # a box that ends where the tails reach warns; one unit more does not
+        edge = 2.0 + tail_reach(n_funcs)
+        with pytest.warns(TailOverflowWarning):
+            assemble_dimer(build_grid(edge, 99), 2.0, n_funcs)
+        assemble_dimer(build_grid(edge + 1.0, 99), 2.0, n_funcs)

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -77,6 +77,12 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"Not a boolean: {text}") from None
 
 
+# [measure] kind -> the keys that kind takes besides kind itself
+_MEASURE_KEYS = {
+    "uniform": ("a_min", "a_max", "count"),
+    "explicit": ("points", "weights"),
+}
+
 # [section] key -> (field, reader): the key sets the OptimSettings field of
 # that name if there is one, else the RunConfig field. _parse_measure reads
 # the [measure] keys.
@@ -84,7 +90,9 @@ _KEYS = {
     "grid": {"x_max": ("x_max", float), "n_points": ("n_points", int)},
     "basis": {"n_funcs": ("n_funcs", int), "n_basis": ("n_basis", int)},
     "criterion": {"kind": ("criterion", CriterionKind)},
-    "measure": dict.fromkeys(("kind", "a_min", "a_max", "count", "points", "weights")),
+    "measure": dict.fromkeys(
+        ("kind", *_MEASURE_KEYS["uniform"], *_MEASURE_KEYS["explicit"])
+    ),
     "optimize": {
         "grad_tol": ("grad_tol", float),
         "max_iter": ("max_iter", int),
@@ -154,6 +162,13 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _parse_measure(section) -> Measure:
     kind = section.get("kind", "uniform")
+    if kind not in _MEASURE_KEYS:
+        raise ConfigError(f"[measure] kind: unknown measure kind {kind!r}")
+    foreign = set(section) - {"kind", *_MEASURE_KEYS[kind]}
+    if foreign:
+        raise ConfigError(
+            f"[measure] kind = {kind} takes no {', '.join(sorted(foreign))}"
+        )
     if kind == "uniform":
         default = default_measure()
         return _checked(
@@ -163,13 +178,11 @@ def _parse_measure(section) -> Measure:
             _read(section, "a_max", float, default.a_max),
             _read(section, "count", int, len(default.points)),
         )
-    if kind == "explicit":
-        if "points" not in section:
-            raise ConfigError("[measure] kind = explicit needs points")
-        points = _read(section, "points", _floats)
-        weights = _read(section, "weights", _floats, (1.0,) * len(points))
-        return _checked("measure", Measure, points=points, weights=weights)
-    raise ConfigError(f"[measure] kind: unknown measure kind {kind!r}")
+    if "points" not in section:
+        raise ConfigError("[measure] kind = explicit needs points")
+    points = _read(section, "points", _floats)
+    weights = _read(section, "weights", _floats, (1.0,) * len(points))
+    return _checked("measure", Measure, points=points, weights=weights)
 
 
 def _validate(cfg: RunConfig):
@@ -293,8 +306,9 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     offline = build_offline(
         grid, cfg.measure, cfg.n_funcs, cfg.criterion.metric, cfg.cache_dir
     )
+    seed = args.seed if cfg.random_start else None
     if cfg.random_start:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         R0 = random_stiefel(rng, cfg.n_funcs, cfg.n_basis)
     else:
         R0 = hbs_coefficients(cfg.n_funcs, cfg.n_basis)
@@ -306,6 +320,10 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     _write_json(
         os.path.join(cfg.out_dir, f"optim_{name}.json"),
         {
+            # the run's start and settings: with basis_*.json, what reproduces it
+            "start": "random" if cfg.random_start else "hbs",
+            "seed": seed,
+            "settings": asdict(cfg.settings),
             "iterations": report.iterations,
             "evaluations": report.evaluations,
             "converged": report.converged,

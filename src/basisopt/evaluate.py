@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import expand, lcao_density, reduced_ground_pair
+from .galerkin import expand, reduced_ground_pair
 from .grid import Grid
 from .hermite import assemble_dimer, hermite_functions
 from .reference import build_offline_single, solve_configuration
@@ -55,8 +55,9 @@ def curves(bases, a_values, grid: Grid, n_funcs: int) -> list[list[CurvePoint]]:
     by every basis; each basis takes one reduced solve per a. The pass
     makes no cache reads or writes. Raises OvercompletenessError at the
     first point where a basis's reduced overlap is ill-conditioned and
-    warns where its occupied pair is degenerate. The full-grid B of the
-    LCAO densities and of the columns B I_R is assembled once per a.
+    warns where its occupied pair is degenerate. The full-grid B is
+    assembled once per a, and each basis's sampled columns B I_R once per
+    a, serving both its condition number and its LCAO density.
     """
     out = [[] for _ in bases]
     for a in np.asarray(a_values, dtype=float):
@@ -66,7 +67,11 @@ def curves(bases, a_values, grid: Grid, n_funcs: int) -> list[list[CurvePoint]]:
         rho_ref = (fd.phi1**2 + fd.phi2**2) / grid.dx
         for R, curve in zip(bases, out):
             pair = reduced_ground_pair(record.m_e, record.s_b, R, a=a)
-            rho = lcao_density(B, R, pair.C, grid)
+            columns = B @ expand(R)
+            # the sqrt(dx) column convention makes the occupied orbitals
+            # B I_R C unit vectors; dividing their squares by dx gives the
+            # density, with dx * sum(rho) = 2
+            rho = ((columns @ pair.C) ** 2).sum(axis=1) / grid.dx
             l1, h1, vw = density_error(rho, rho_ref, grid.dx)
             curve.append(
                 CurvePoint(
@@ -74,7 +79,7 @@ def curves(bases, a_values, grid: Grid, n_funcs: int) -> list[list[CurvePoint]]:
                     e_ref=record.e_ref,
                     e_basis=float(pair.energy),
                     abs_error=float(abs(record.e_ref - pair.energy)),
-                    cond=_condition_number(B @ expand(R)),
+                    cond=_condition_number(columns),
                     l1=l1,
                     h1=h1,
                     vw=vw,

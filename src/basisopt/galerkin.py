@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid
-
 DEFAULT_COND_LIMIT = 1e12
 GAP_TOL = 1e-10
 
@@ -160,16 +158,3 @@ def reduced_ground_pair(
             stacklevel=2,
         )
     return ReducedGroundPair(mu1=vals[..., 0], mu2=vals[..., 1], C=Xt @ vecs[..., :2])
-
-
-def lcao_density(
-    b_columns: np.ndarray, R: np.ndarray, C: np.ndarray, grid: Grid
-) -> np.ndarray:
-    """Grid density of the two occupied LCAO orbitals.
-
-    The sqrt(dx) column convention makes B I_R C unit-norm coefficient
-    vectors; dividing the squared orbitals by dx restores a true density
-    with dx * sum(rho) = 2.
-    """
-    orbitals = b_columns @ (expand(R) @ C)  # N_g x 2
-    return (orbitals**2).sum(axis=1) / grid.dx

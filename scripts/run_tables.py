@@ -8,7 +8,8 @@ line-search stall or max_iter ended it. The CSV also records each run's
 stop reason, stalled flag, final gradient norm, value+gradient evaluations
 and wall time. A last line sums the iterations, evaluations and seconds of
 all runs and counts the converged ones, so the optimizer's hot path can be
-timed and judged without the benchmark.
+timed and judged without the benchmark; that line and every CSV row also
+name the optimizer settings of the runs.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import csv
 import io
 import sys
 import time
+from dataclasses import asdict
 
 from basisopt.criteria import CriterionKind, make_criterion
 from basisopt.galerkin import hbs_coefficients
@@ -26,7 +28,7 @@ from basisopt.reference import (
     stack_offline,
     write_atomically,
 )
-from basisopt.stiefel import minimize
+from basisopt.stiefel import OptimSettings, minimize
 
 
 def main(argv=None):
@@ -43,6 +45,7 @@ def main(argv=None):
     # one FD solve or cache read per configuration serves both metrics
     pairs = load_or_build_each(grid, measure.points, args.n_funcs, args.cache)
     stacks = stack_offline([record for record, _ in pairs], measure.weights)
+    settings = OptimSettings()
 
     rows = []
     for kind in CriterionKind:
@@ -51,7 +54,7 @@ def main(argv=None):
             hbs = hbs_coefficients(args.n_funcs, n_basis)
             baseline = criterion(hbs)[0]
             start = time.perf_counter()
-            result = minimize(criterion, hbs)
+            result = minimize(criterion, hbs, settings)
             seconds = time.perf_counter() - start
             rows.append(
                 {
@@ -66,6 +69,7 @@ def main(argv=None):
                     "grad_norm": result.grad_norm,
                     "evaluations": result.evaluations,
                     "seconds": seconds,
+                    **asdict(settings),
                 }
             )
             print(
@@ -78,7 +82,7 @@ def main(argv=None):
         f"total: {len(rows)} runs, {sum(r['iterations'] for r in rows)} iterations, "
         f"{sum(r['evaluations'] for r in rows)} evaluations, "
         f"{sum(r['seconds'] for r in rows):.3f} s; "
-        f"{sum(r['converged'] for r in rows)} of {len(rows)} converged"
+        f"{sum(r['converged'] for r in rows)} of {len(rows)} converged; {settings}"
     )
     if args.csv:
         # csv ends its rows with \r\n itself: write its text as bytes, untranslated

@@ -267,5 +267,5 @@ def test_criterion_9_sparse_sampling(grid_main):
     report(
         "9 single-configuration training",
         ratio >= 1e2,
-        f"whole-curve J_E improvement={ratio:.2e}",
+        f"whole-curve J_E improvement={ratio:.2e} iterations={result.iterations}",
     )

@@ -445,7 +445,7 @@ class TestOptimize:
             report = json.load(fh)
         assert report["start"] == ("random" if random_start else "hbs")
         assert report["seed"] == (7 if random_start else None)
-        settings = {"grad_tol": 1e-7, "max_iter": 200, "lbfgs_memory": 10}
+        settings = {"grad_tol": 1e-7, "max_iter": 200, "lbfgs_memory": 100}
         assert report["settings"] == settings
         # the recorded seed, or none for a Hermite start, gives the same basis
         seed = [] if report["seed"] is None else ["--seed", str(report["seed"])]

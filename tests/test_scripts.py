@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from basisopt import reference
-from basisopt.stiefel import OptimReport
+from basisopt.stiefel import OptimReport, OptimSettings
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
 
@@ -56,7 +56,15 @@ def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, capsys, c
     seconds = sum(float(row["seconds"]) for row in rows)
     converged = sum(row["converged"] == "True" for row in rows)
     expected = f"total: 12 runs, {iterations} iterations, {evaluations} evaluations, "
-    assert summary == expected + f"{seconds:.3f} s; {converged} of 12 converged"
+    expected += f"{seconds:.3f} s; {converged} of 12 converged; "
+    assert summary == expected + repr(OptimSettings())
+    # each row names the settings of its run
+    for row in rows:
+        assert (row["grad_tol"], row["max_iter"], row["lbfgs_memory"]) == (
+            repr(OptimSettings().grad_tol),
+            str(OptimSettings().max_iter),
+            str(OptimSettings().lbfgs_memory),
+        )
 
 
 @pytest.mark.parametrize(
@@ -95,7 +103,7 @@ def test_run_tables_csv_into_a_missing_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(
         module,
         "minimize",
-        lambda fun, R0: OptimReport(R0, np.zeros(1), 0.0, 1, "converged"),
+        lambda fun, R0, settings: OptimReport(R0, np.zeros(1), 0.0, 1, "converged"),
     )
     out = tmp_path / "missing" / "deeper" / "tables.csv"
     assert module.main(["--n-points", "399", "--n-funcs", "4", "--csv", str(out)]) == 0

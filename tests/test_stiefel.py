@@ -169,6 +169,16 @@ class TestMinimize:
         with pytest.raises(ValueError):
             OptimSettings(max_iter=0)
 
+    @pytest.mark.parametrize("name", ["max_iter", "lbfgs_memory"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_settings_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            OptimSettings(**{name: value})
+
+    def test_settings_take_numpy_integers(self):
+        settings = OptimSettings(max_iter=np.int64(5), lbfgs_memory=np.int32(0))
+        assert (settings.max_iter, settings.lbfgs_memory) == (5, 0)
+
     def test_evaluations_count_every_call(self, offline_l2):
         calls = []
         fun = make_criterion(CriterionKind.JE, offline_l2)
@@ -179,8 +189,9 @@ class TestMinimize:
 
 def per_pair_minimize(value_and_grad, R0, settings):
     """The optimizer with a deque of raw curvature pairs, np.sum inner
-    products and one projection of the two-loop output: the oracle that
-    `minimize` must match bit for bit."""
+    products and one projection of the compact-form H g rebuilt from the
+    pairs at every iteration: the oracle that `minimize` must match bit for
+    bit."""
     R = retract(R0, np.zeros_like(R0))
     f, G = value_and_grad(R)
     g = tangent_project(R, G)
@@ -190,8 +201,9 @@ def per_pair_minimize(value_and_grad, R0, settings):
     stalled = False
     it = 0
     while g_norm > settings.grad_tol and it < settings.max_iter:
-        direction = -tangent_project(R, per_pair_two_loop(g, history))
-        if float(np.sum(direction * g)) > -1e-14 * g_norm * np.linalg.norm(direction):
+        direction = -tangent_project(R, per_pair_compact(g, history))
+        slope = float(np.sum(direction * g))
+        if not -np.inf < slope <= -1e-14 * g_norm * np.linalg.norm(direction):
             direction = -g
             history.clear()
         step = stiefel.INITIAL_STEP
@@ -223,7 +235,33 @@ def per_pair_minimize(value_and_grad, R0, settings):
     return R, np.asarray(trajectory), it, bool(g_norm <= settings.grad_tol), stalled
 
 
+def per_pair_compact(g, history):
+    """H g by the compact formula of `_PairStore.apply`, with S, Y, the
+    s_i . y_i and the inverse triangle rebuilt from the pairs, oldest first,
+    at every call: one inner product per entry of the triangle and one row
+    of its transposed inverse per pair."""
+    if not history:
+        return g
+    S = np.array([s.ravel() for s, _ in history])
+    Y = np.array([y.ravel() for _, y in history])
+    k = len(history)
+    sy, inv_t = np.empty(k), np.zeros((k, k))
+    for j in range(k):
+        r = np.array([np.sum(S[i] * Y[j]) for i in range(j + 1)])
+        sy[j] = r[j]
+        inv_t[j, :j] = np.add.reduce(inv_t[:j, :j] * r[:j, None], axis=0)
+        inv_t[j, :j] /= -r[j]
+        inv_t[j, j] = 1.0 / r[j]
+    flat = g.ravel()
+    gamma = sy[-1] / Y[-1].dot(Y[-1])
+    a = (S @ flat) @ inv_t
+    w = a @ Y
+    b = inv_t @ (sy * a + gamma * (Y @ (w - flat)))
+    return (gamma * (flat - w) + b @ S).reshape(g.shape)
+
+
 def per_pair_two_loop(g, history):
+    """The L-BFGS two-loop recursion over the pairs, oldest first."""
     q = g.copy()
     alphas = []
     for s, y in reversed(history):
@@ -241,15 +279,26 @@ def per_pair_two_loop(g, history):
     return q
 
 
-# memory 1 and 3 fill up and evict within a few iterations; JA_L2 N_b=4 is a
-# row that stalls in a line search, where rounding decides the path
-@pytest.mark.parametrize("memory", [0, 1, 3, 10])
+# memory 1 and 3 fill up and evict within a few iterations; JA_L2 N_b=4 runs
+# to max_iter below memory 100, the default, with its path set by rounding
+@pytest.mark.parametrize("memory", [0, 1, 3, 10, 100])
 @pytest.mark.parametrize(
     "kind, n_basis",
     [(CriterionKind.JA_L2, 2), (CriterionKind.JE, 3), (CriterionKind.JA_L2, 4)],
 )
 def test_minimize_matches_per_pair_oracle(offline_l2, kind, n_basis, memory):
-    fun = make_criterion(kind, offline_l2)
+    assert_matches_per_pair_oracle(make_criterion(kind, offline_l2), n_basis, memory)
+
+
+def test_minimize_matches_per_pair_oracle_through_a_stall(offline_h1):
+    # JA_H1 N_b=4 at memory 30 ends in a line-search stall (iteration 218
+    # when this was written; rounding sets the path), a stop the rows above
+    # do not reach
+    fun = make_criterion(CriterionKind.JA_H1, offline_h1)
+    assert_matches_per_pair_oracle(fun, 4, 30)
+
+
+def assert_matches_per_pair_oracle(fun, n_basis, memory):
     settings = OptimSettings(lbfgs_memory=memory)
     report = minimize(fun, hbs_coefficients(10, n_basis), settings)
     R, trajectory, iterations, converged, stalled = per_pair_minimize(
@@ -261,16 +310,122 @@ def test_minimize_matches_per_pair_oracle(offline_l2, kind, n_basis, memory):
     assert flags == (iterations, converged, stalled)
 
 
+def random_pairs(rng, count, shape):
+    """Pairs with s . y > 0: y is s scaled entrywise by 0.5 to 2."""
+    for _ in range(count):
+        s = rng.standard_normal(shape)
+        yield s, s * rng.uniform(0.5, 2.0, shape)
+
+
 @pytest.mark.parametrize("n, n_basis", [(10, 1), (10, 2), (10, 3), (10, 4), (20, 6)])
 def test_two_loop_products_match_each_pair(rng, n, n_basis):
-    # the two-loop recursion takes every s_i . y_i from the curvature check
-    # that stored the pair; it must give the oracle's direction bit for bit
-    S = rng.standard_normal((10, n, n_basis))
-    Y = S * rng.uniform(0.5, 2.0, S.shape)
-    history = deque(zip(S, Y))
-    pairs = deque((s, y, stiefel._inner(s, y)) for s, y in history)
-    g = rng.standard_normal((n, n_basis))
-    assert np.array_equal(stiefel._two_loop(g, pairs), per_pair_two_loop(g, history))
+    # the compact form's H g is the two-loop recursion's in exact
+    # arithmetic: through filling, eviction and a clear it agrees with the
+    # per-pair oracle to rounding
+    for memory in (1, 3, 10, 50):
+        store = stiefel._PairStore(memory, n * n_basis)
+        history = deque(maxlen=memory)
+        for i, (s, y) in enumerate(random_pairs(rng, 2 * memory + 5, (n, n_basis))):
+            if i == memory + 2:
+                store.clear()
+                history.clear()
+            store.append(s, y)
+            history.append((s, y))
+            assert store.count == len(history)
+            g = rng.standard_normal((n, n_basis))
+            expected = per_pair_two_loop(g, history)
+            error = np.linalg.norm(store.apply(g) - expected)
+            assert error <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("memory", [1, 3, 10, 50])
+def test_compact_form_meets_the_secant_condition(rng, memory):
+    # H y = s for the newest pair, full memory or not
+    store = stiefel._PairStore(memory, 12)
+    for count, (s, y) in enumerate(random_pairs(rng, memory + 3, (6, 2)), 1):
+        store.append(s, y)
+        assert store.count == min(count, memory)
+        np.testing.assert_allclose(store.apply(y), s, rtol=1e-12, atol=1e-12)
+
+
+def test_empty_store_is_steepest_descent(rng):
+    # memory 0 keeps no pair, and an emptied store gives g back as it is
+    g = rng.standard_normal((6, 2))
+    pair = next(random_pairs(rng, 1, (6, 2)))
+    none = stiefel._PairStore(0, 12)
+    none.append(*pair)
+    assert none.count == 0 and none.apply(g) is g
+    emptied = stiefel._PairStore(3, 12)
+    emptied.append(*pair)
+    emptied.clear()
+    assert emptied.apply(g) is g
+
+
+def test_non_finite_direction_restarts_from_steepest_descent(rng):
+    # a pair that passes the curvature check, with s, y, g and their norms
+    # finite, at scales where gamma = s . y / y . y = 1e250 takes H g past
+    # the largest double
+    R = random_stiefel(rng, 6, 2)
+    u = tangent_project(R, rng.standard_normal((6, 2)))
+    s, y = 1e100 * u, 1e-150 * u * rng.uniform(0.5, 2.0, u.shape)
+    assert stiefel._inner(s, y) > 1e-14 * stiefel._norm(s) * stiefel._norm(y)
+    store = stiefel._PairStore(3, 12)
+    store.append(s, y)
+    g = 1e150 * tangent_project(R, rng.standard_normal((6, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(store.apply(g)).all()
+        direction, slope = stiefel._direction(R, g, stiefel._norm(g), store)
+    assert np.array_equal(direction, -g)
+    assert slope == stiefel._inner(-g, g) < 0
+    assert store.count == 0
+
+
+def test_store_grows_by_doubling_up_to_its_bound(rng):
+    store = stiefel._PairStore(10**9, 12)  # a memory no run can fill
+    assert store.S.shape == store.Y.shape == (16, 12)
+    store = stiefel._PairStore(40, 12)
+    capacity = []
+    for s, y in random_pairs(rng, 45, (6, 2)):
+        store.append(s, y)
+        capacity.append(len(store.S))
+        assert store.inv_t.shape == (capacity[-1], capacity[-1])
+    assert capacity[15:17] == [16, 32] and capacity[31:33] == [32, 40]
+    assert capacity[-1] == 40 and store.count == 40
+
+
+def test_huge_memory_and_max_iter_run(rng):
+    # a store sized for 10**9 pairs up front would not fit in memory
+    M = rng.standard_normal((8, 8))
+    M = M + M.T
+    report = minimize(
+        lambda R: (float(np.trace(R.T @ M @ R)), 2.0 * M @ R),
+        random_stiefel(rng, 8, 2),
+        OptimSettings(max_iter=10**9, lbfgs_memory=10**9),
+    )
+    assert report.converged
+    target = np.sort(np.linalg.eigvalsh(M))[:2].sum()
+    assert report.final_value == pytest.approx(target, abs=1e-8)
+
+
+def test_memory_is_bounded_by_max_iter(offline_l2):
+    # pairs cannot outnumber iterations: a huge memory runs as max_iter's
+    fun = make_criterion(CriterionKind.JA_L2, offline_l2)
+    huge, bounded = (
+        minimize(fun, hbs_coefficients(10, 4), settings)
+        for settings in (
+            OptimSettings(max_iter=20, lbfgs_memory=10**9),
+            OptimSettings(max_iter=20, lbfgs_memory=20),
+        )
+    )
+    # the runs last all 20 iterations, so both memories fill to the bound
+    assert huge.iterations == 20 and huge.stop_reason == "max_iter reached"
+    assert np.array_equal(huge.R_opt, bounded.R_opt)
+    assert np.array_equal(huge.trajectory, bounded.trajectory)
+    assert (huge.grad_norm, huge.evaluations, huge.stop_reason) == (
+        bounded.grad_norm,
+        bounded.evaluations,
+        bounded.stop_reason,
+    )
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

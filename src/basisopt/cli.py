@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import os
 import sys
@@ -63,6 +64,23 @@ class RunConfig:
     out_dir: str = "out"
     cache_dir: str = "cache"
 
+    def __post_init__(self):
+        if not 1 <= self.n_basis <= self.n_funcs:
+            raise ConfigError(
+                f"need 1 <= n_basis <= n_funcs, got {self.n_basis}, {self.n_funcs}"
+            )
+        if self.curve_points < 1:
+            raise ConfigError(f"need curve_points >= 1, got {self.curve_points}")
+        try:
+            grid = self.grid()
+        except ValueError as exc:  # a non-positive x_max or too few points
+            raise ConfigError(f"invalid grid: {exc}") from exc
+        if self.measure.a_max + 1.0 >= grid.x_max:
+            raise ConfigError(
+                f"largest configuration {self.measure.a_max} does not fit the box "
+                f"[-{grid.x_max}, {grid.x_max}]"
+            )
+
     def grid(self) -> Grid:
         x_max = self.x_max
         if x_max is None:
@@ -77,29 +95,42 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"Not a boolean: {text}") from None
 
 
-# [measure] kind -> the keys that kind takes besides kind itself
-_MEASURE_KEYS = {
-    "uniform": ("a_min", "a_max", "count"),
-    "explicit": ("points", "weights"),
-}
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
-# [section] key -> (field, reader): the key sets the OptimSettings field of
-# that name if there is one, else the RunConfig field. _parse_measure reads
-# the [measure] keys.
+
+# [measure] kind -> its builder, whose parameters are the kind's other keys
+_MEASURES = {"uniform": uniform_measure, "explicit": Measure}
+
+
+def _measure_kind(text: str) -> str:
+    if text not in _MEASURES:
+        raise ValueError(f"unknown measure kind {text!r}")
+    return text
+
+
+# [section] key -> reader. A key sets the OptimSettings field of its name if
+# there is one, else the RunConfig field; [criterion] kind sets criterion and
+# _parse_measure builds the measure from the [measure] keys.
 _KEYS = {
-    "grid": {"x_max": ("x_max", float), "n_points": ("n_points", int)},
-    "basis": {"n_funcs": ("n_funcs", int), "n_basis": ("n_basis", int)},
-    "criterion": {"kind": ("criterion", CriterionKind)},
-    "measure": dict.fromkeys(
-        ("kind", *_MEASURE_KEYS["uniform"], *_MEASURE_KEYS["explicit"])
-    ),
-    "optimize": {
-        "grad_tol": ("grad_tol", float),
-        "max_iter": ("max_iter", int),
-        "lbfgs_memory": ("lbfgs_memory", int),
-        "random_start": ("random_start", _boolean),
+    "grid": {"x_max": float, "n_points": int},
+    "basis": {"n_funcs": int, "n_basis": int},
+    "criterion": {"kind": CriterionKind},
+    "measure": {
+        "kind": _measure_kind,
+        "a_min": float,
+        "a_max": float,
+        "count": int,
+        "points": _floats,
+        "weights": _floats,
     },
-    "report": {"curve_points": ("curve_points", int)},
+    "optimize": {
+        "grad_tol": float,
+        "max_iter": int,
+        "lbfgs_memory": int,
+        "random_start": _boolean,
+    },
+    "report": {"curve_points": int},
 }
 
 
@@ -124,83 +155,50 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"unknown keys in [{name}]: {', '.join(sorted(unknown))}")
     run, settings = {}, {}
     for name in parser.sections():
+        values = _read(parser[name])
         if name == "measure":
-            run["measure"] = _parse_measure(parser[name])
-            continue
-        for key in parser[name]:
-            field_name, read_value = _KEYS[name][key]
-            optim = field_name in OptimSettings.__dataclass_fields__
-            value = _read(parser[name], key, read_value)
-            (settings if optim else run)[field_name] = value
-    cfg = RunConfig(**run, settings=_checked("optimize", OptimSettings, **settings))
-    _validate(cfg)
-    return cfg
+            values = {"measure": _parse_measure(values)}
+        elif "kind" in values:  # [criterion] kind
+            values = {"criterion": values["kind"]}
+        for key, value in values.items():
+            optim = key in OptimSettings.__dataclass_fields__
+            (settings if optim else run)[key] = value
+    return RunConfig(**run, settings=_checked("optimize", OptimSettings, **settings))
 
 
-def _read(section, key: str, read_value, fallback=None):
-    """The value of one key, or fallback if the section lacks it; a value
-    that read_value rejects is a ConfigError that names the key."""
-    if key not in section:
-        return fallback
+def _read(section) -> dict:
+    """Every key of one section through its reader; a value that the reader
+    rejects is a ConfigError that names the key."""
+    values = {}
+    for key, text in section.items():
+        try:
+            values[key] = _KEYS[section.name][key](text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
+    return values
+
+
+def _checked(section: str, make, **kwargs):
+    """make(**kwargs); a ValueError becomes a ConfigError naming the section."""
     try:
-        return read_value(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
-
-
-def _checked(section: str, make, *args, **kwargs):
-    """make(*args, **kwargs); a ValueError becomes a ConfigError naming the section."""
-    try:
-        return make(*args, **kwargs)
+        return make(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"[{section}] invalid value: {exc}") from exc
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
-def _parse_measure(section) -> Measure:
-    kind = section.get("kind", "uniform")
-    if kind not in _MEASURE_KEYS:
-        raise ConfigError(f"[measure] kind: unknown measure kind {kind!r}")
-    foreign = set(section) - {"kind", *_MEASURE_KEYS[kind]}
+def _parse_measure(values: dict) -> Measure:
+    kind = values.pop("kind", "uniform")
+    build = _MEASURES[kind]
+    foreign = values.keys() - inspect.signature(build).parameters
     if foreign:
         raise ConfigError(
             f"[measure] kind = {kind} takes no {', '.join(sorted(foreign))}"
         )
-    if kind == "uniform":
-        default = default_measure()
-        return _checked(
-            "measure",
-            uniform_measure,
-            _read(section, "a_min", float, default.points[0]),
-            _read(section, "a_max", float, default.a_max),
-            _read(section, "count", int, len(default.points)),
-        )
-    if "points" not in section:
-        raise ConfigError("[measure] kind = explicit needs points")
-    points = _read(section, "points", _floats)
-    weights = _read(section, "weights", _floats, (1.0,) * len(points))
-    return _checked("measure", Measure, points=points, weights=weights)
-
-
-def _validate(cfg: RunConfig):
-    if not 1 <= cfg.n_basis <= cfg.n_funcs:
-        raise ConfigError(
-            f"need 1 <= n_basis <= n_funcs, got {cfg.n_basis}, {cfg.n_funcs}"
-        )
-    if cfg.curve_points < 1:
-        raise ConfigError(f"need curve_points >= 1, got {cfg.curve_points}")
-    try:
-        grid = cfg.grid()
-    except ValueError as exc:  # a non-positive x_max or too few points
-        raise ConfigError(f"invalid grid: {exc}") from exc
-    if cfg.measure.a_max + 1.0 >= grid.x_max:
-        raise ConfigError(
-            f"largest configuration {cfg.measure.a_max} does not fit the box "
-            f"[-{grid.x_max}, {grid.x_max}]"
-        )
+    if kind == "explicit":
+        if "points" not in values:
+            raise ConfigError("[measure] kind = explicit needs points")
+        values.setdefault("weights", (1.0,) * len(values["points"]))
+    return _checked("measure", build, **values)
 
 
 # -- artifacts ----------------------------------------------------------------

@@ -100,18 +100,22 @@ class Measure:
 
 
 def default_measure() -> Measure:
-    """Ten uniform points on [1.5, 5].
+    """The reference measure: uniform_measure() at its defaults.
 
-    Each point carries the interval spacing 3.5/9 as its weight, so the
+    Each point carries the interval spacing as its weight, so the
     aggregated criteria reproduce the reference tables (a Riemann-sum
     quadrature of the interval rather than a normalized average; the two
-    conventions differ by the constant factor 35/9).
+    conventions differ by the constant factor count x spacing).
     """
-    return uniform_measure(1.5, 5.0, 10)
+    return uniform_measure()
 
 
-def uniform_measure(a_min: float, a_max: float, count: int) -> Measure:
-    """Uniformly spaced configurations with spacing weights."""
+def uniform_measure(
+    a_min: float = 1.5, a_max: float = 5.0, count: int = 10
+) -> Measure:
+    """Uniformly spaced configurations with spacing weights. The defaults
+    give the reference measure: ten points on [1.5, 5], each of weight
+    3.5/9."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if count == 1:

@@ -1,12 +1,18 @@
+import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import basisopt
 from basisopt import cli, evaluate, reference
@@ -123,6 +129,24 @@ class TestConfig:
             random_start=True,
             curve_points=9,
         )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_basis": 11}, "need 1 <= n_basis <= n_funcs, got 11, 10"),
+            ({"curve_points": 0}, "need curve_points >= 1, got 0"),
+            (
+                {"x_max": 5.5},
+                "largest configuration 5.0 does not fit the box [-5.5, 5.5]",
+            ),
+            ({"n_points": 2}, "invalid grid: n_points must be at least 3, got 2"),
+        ],
+        ids=["n_basis", "curve_points", "x_max", "n_points"],
+    )
+    def test_run_config_validates_itself(self, change, message):
+        with pytest.raises(ConfigError) as info:
+            replace(RunConfig(), **change)
+        assert str(info.value) == message
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -356,6 +380,99 @@ class TestConfig:
         # evaluate needs no curve: it runs, warning of the small box
         with pytest.warns(TailOverflowWarning):
             assert run(["evaluate", "--hbs", "1"], tmp_path, str(path)) == 0
+
+
+# The largest value the fuzz draws for a key, so that no example builds a
+# large grid or runs long. max_iter and curve_points are always drawn: their
+# defaults exceed their caps.
+FUZZ_CAPS = {
+    "n_points": 1999,
+    "n_funcs": 20,
+    "n_basis": 4,
+    "count": 20,
+    "max_iter": 50,
+    "curve_points": 5,
+}
+FUZZ_EDGES = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "", "abc"])
+FUZZ_WORDS = {
+    CriterionKind: [kind.value for kind in CriterionKind],
+    cli._measure_kind: list(cli._MEASURES),
+    cli._boolean: ["yes", "off"],
+}
+COMMANDS = [
+    ["reference"],
+    ["optimize"],
+    ["evaluate", "--hbs", "1"],
+    ["report", "--hbs", "1"],
+]
+
+
+def mostly(valid):
+    """valid nine times in ten, else an edge case."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else FUZZ_EDGES)
+
+
+def fuzz_value(key, reader):
+    """A value for key: mostly one that its reader takes. A list of floats
+    is increasing, or has repeated, unsorted or bad entries."""
+    if reader is int:
+        return mostly(st.integers(1, FUZZ_CAPS.get(key, 100)).map(str))
+    if reader is float:
+        return mostly(st.floats(1e-3, 30).map(repr))
+    if reader is cli._floats:
+        entry = st.floats(0.5, 6)
+        increasing = st.lists(entry, min_size=1, max_size=20, unique=True).map(sorted)
+        mixed = st.lists(mostly(entry.map(repr)), min_size=1, max_size=20)
+        increasing = increasing.map(lambda xs: [repr(x) for x in xs])
+        return mostly((increasing | mixed).map(",".join))
+    return mostly(st.sampled_from(FUZZ_WORDS[reader]))
+
+
+@st.composite
+def ini_files(draw):
+    """An INI file from the grammar cli._KEYS, with an unknown section or key
+    one time in ten. Nine [measure] sections in ten hold the keys of one
+    kind only: the parameters of its builder."""
+    sections = {}
+    for section, keys in cli._KEYS.items():
+        if section not in ("optimize", "report") and draw(st.booleans()):
+            continue
+        sections[section] = values = {}
+        if section == "measure" and draw(st.integers(0, 9)):
+            values["kind"] = kind = draw(st.sampled_from(list(cli._MEASURES)))
+            names = inspect.signature(cli._MEASURES[kind]).parameters
+            keys = {key: keys[key] for key in names}
+        for key, reader in keys.items():
+            if key in ("max_iter", "curve_points") or draw(st.booleans()):
+                values[key] = draw(fuzz_value(key, reader))
+    if draw(st.integers(0, 9)) == 0:
+        section = draw(st.sampled_from([*cli._KEYS, "plotting"]))
+        sections.setdefault(section, {})["bogus"] = "1"
+    lines = []
+    for section in draw(st.permutations(list(sections))):
+        lines += [f"[{section}]", *(f"{k} = {v}" for k, v in sections[section].items())]
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigFuzz:
+    @given(text=ini_files())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_every_command_fails_closed(self, text):
+        for command in COMMANDS:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "run.ini")
+                with open(path, "w") as fh:
+                    fh.write(text)
+                err = io.StringIO()
+                # record every warning, so that pytest's filters raise none
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                        code = run(command, Path(tmp), path)
+            assert code in (0, 2, 3), (command, code)
+            assert len(err.getvalue().splitlines()) == (code != 0), err.getvalue()
+            for w in caught:
+                assert w.category.__module__.startswith("basisopt."), w
 
 
 class TestReference:

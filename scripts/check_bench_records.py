@@ -10,7 +10,9 @@ that ROOT/BENCHMARK.json names, and when its `summary`, if it has one,
 agrees with the runs: for each workload and metric, each side's median
 and quartiles (`statistics.quantiles`, inclusive method) over the
 summary's seeds, and the number of those seeds on which the change read
-lower. Prints one line per problem and exits 1 when there is one, else 0.
+lower. A record that states `"identical_checksums": true` must also hold
+equal `checksums` on every parent/change pair of runs of one workload and
+seed. Prints one line per problem and exits 1 when there is one, else 0.
 """
 
 import argparse
@@ -59,7 +61,27 @@ def problems(root: str) -> list[str]:
             if missing:
                 found.append(f"{where}: missing {', '.join(missing)}")
         found += summary_problems(name, runs, record.get("summary", {}))
+        if record.get("identical_checksums") is True:
+            found += checksum_problems(name, runs)
     return found
+
+
+def checksum_problems(name: str, runs: list) -> list[str]:
+    """One line for each parent/change pair of runs, of one workload and
+    seed, whose checksums differ."""
+    sides = {}  # (workload, seed) -> side -> [(run index, checksums)]
+    for i, run in enumerate(runs):
+        if isinstance(run, dict):
+            pair = sides.setdefault((run.get("workload"), run.get("seed")), {})
+            pair.setdefault(run.get("side"), []).append((i, run.get("checksums")))
+    return [
+        f"{name}: runs {i} and {j} ({workload}, seed {seed}, parent and change): "
+        "checksums differ"
+        for (workload, seed), pair in sides.items()
+        for i, parent in pair.get("parent", [])
+        for j, change in pair.get("change", [])
+        if parent != change
+    ]
 
 
 def _agrees(stated, expected) -> bool:

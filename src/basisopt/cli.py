@@ -75,6 +75,14 @@ class RunConfig:
             grid = self.grid()
         except ValueError as exc:  # a non-positive x_max or too few points
             raise ConfigError(f"invalid grid: {exc}") from exc
+        # h_{N-1} oscillates at wavenumber sqrt(2N - 1) near its centre; a
+        # grid with fewer than 4 points per wavelength is rejected
+        bound = np.pi / (2.0 * np.sqrt(2.0 * self.n_funcs - 1.0))
+        if grid.dx > bound:
+            raise ConfigError(
+                f"grid too coarse for n_funcs = {self.n_funcs}: dx = {grid.dx:.4g} "
+                f"exceeds pi / (2 sqrt(2 n_funcs - 1)) = {bound:.4g}"
+            )
         if self.measure.a_max + 1.0 >= grid.x_max:
             raise ConfigError(
                 f"largest configuration {self.measure.a_max} does not fit the box "

@@ -23,7 +23,10 @@ spectrum, and build_offline_single makes each record from Gram products
 of the even and odd parts of B on the half grid x >= 0, without forming
 B. Each build makes one half-grid buffer, which holds those parts with
 the FD pair, the Hermite recurrence rows, then the differences D of the
-parts. The records own their memory.
+parts. The buffer is laid out points last, one row per parity and
+function, so the parity sums, the differences and the sqrt(V) scaling
+run along contiguous rows, and each Gram product is X X^T of a row
+block. The records own their memory.
 
 H_FD is never applied to B: H_FD = D^T D / (2 dx^2) + diag(V) exactly,
 so m_e = B^T V B + s_lap / 2 reuses the D B of the H1 overlap and avoids
@@ -392,7 +395,9 @@ def build_offline_single(
     values, a point x > 0 stands for itself and its mirror image, and so
     does a cell of D right of the centre; the centre point of an odd grid
     and the centre cell of an even grid stand for themselves. The half-grid
-    intermediates live in one buffer that the build allocates and frees."""
+    intermediates live in one buffer that the build allocates and frees,
+    points last: F of shape (2, N + 1, n_half) and D F of shape
+    (2, N + 1, n_half + 1)."""
     if pair is None:
         pair = solve_configuration(grid, a)
     n, N = grid.n_points, n_funcs
@@ -400,31 +405,34 @@ def build_offline_single(
     # one allocation: with F, D F and the rows apart, glibc's malloc reused
     # them worse, and the first L2 and H1 pass of K = 200 configurations at
     # 8000 points took 136k-180k minor page faults instead of 12k
-    buffer = np.empty((2 * half + 1, 2, N + 1))
-    # F: rows x >= 0 of sqrt(2) E and sqrt(2) O, each with its FD state as
-    # the last column; then times sqrt(V). D F: the cells of D applied to F.
-    F, DF = buffer[:half], buffer[half:]
+    buffer = np.empty(2 * (N + 1) * (2 * half + 1))
+    # points last, so every half-grid pass runs along contiguous rows.
+    # F[p]: the rows of sqrt(2) E (p = 0) and sqrt(2) O (p = 1) on x >= 0,
+    # with their FD state as the last row; then times sqrt(V). D F[p]: the
+    # cells of D applied to each row of F[p].
+    F = buffer[: 2 * (N + 1) * half].reshape(2, N + 1, half)
+    DF = buffer[2 * (N + 1) * half :].reshape(2, N + 1, half + 1)
     # the Hermite recurrence rows borrow the memory of D F until it is made
-    rows = DF.reshape(-1)[: 2 * N * len(F)].reshape(N, 2, len(F))
-    assemble_parity(grid, a, N, F[..., :N].transpose(1, 0, 2), rows)
+    rows = DF.reshape(-1)[: 2 * N * half].reshape(N, 2, half)
+    assemble_parity(grid, a, N, F[:, :N].transpose(0, 2, 1), rows)
     for p, phi in enumerate((pair.phi1, pair.phi2)):
-        np.multiply(np.sqrt(2.0), phi[n // 2 :], out=F[:, p, N])
-    fd_gradient(F, DF)
-    # DF[0] is the cell left of the half grid. For the even part it mirrors
-    # DF[1] (odd grid) or is the centre cell, where E is flat (even grid):
-    # it is left out. For the odd part it is zero (odd grid) or the centre
-    # cell, which stands for itself alone (even grid).
-    DF[0, 1] *= np.sqrt(2.0)
-    cells = (DF[1:, 0], DF[:, 1])
+        np.multiply(np.sqrt(2.0), phi[n // 2 :], out=F[p, N])
+    fd_gradient(F.transpose(2, 0, 1), DF.transpose(2, 0, 1))
+    # DF[:, :, 0] is the cell left of the half grid. For the even part it
+    # mirrors DF[0, :, 1] (odd grid) or is the centre cell, where E is flat
+    # (even grid): it is left out. For the odd part it is zero (odd grid) or
+    # the centre cell, which stands for itself alone (even grid).
+    DF[1, :, 0] *= np.sqrt(2.0)
+    cells = (DF[0, :, 1:], DF[1])
     if n % 2:
-        F[0, 0] *= _SQRT_HALF  # the centre point stands for itself alone
+        F[0, :, 0] *= _SQRT_HALF  # the centre point stands for itself alone
     inv_dx2 = 1.0 / grid.dx**2
-    grams = [(F[:, p].T @ F[:, p], (c.T @ c) * inv_dx2) for p, c in enumerate(cells)]
-    F *= np.sqrt(potential(a, grid.points[n // 2 :]))[:, None, None]  # V >= 0
+    grams = [(F[p] @ F[p].T, (c @ c.T) * inv_dx2) for p, c in enumerate(cells)]
+    F *= np.sqrt(potential(a, grid.points[n // 2 :]))  # V >= 0
     blocks = []  # per part: phi^T B, phi^T (-Laplacian) B, s_b, m_e, s_lap
     for p, (gram, lap) in enumerate(grams):
         s_lap = _sym(lap[:N, :N])
-        m_e = _sym(F[:, p, :N].T @ F[:, p, :N]) + 0.5 * s_lap
+        m_e = _sym(F[p, :N] @ F[p, :N].T) + 0.5 * s_lap
         blocks.append((gram[N, :N], lap[N, :N], _sym(gram[:N, :N]), m_e, s_lap))
     (g1, g1_lap, *even), (g2, g2_lap, *odd) = blocks
     sign = (-1.0) ** np.arange(N)

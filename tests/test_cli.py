@@ -345,6 +345,40 @@ class TestConfig:
         assert line.startswith("configuration error: invalid grid:")
         assert not (tmp_path / "out").exists()
 
+    # n_funcs = 10 on the default box [-20, 20]: the bound pi / (2 sqrt(19))
+    # is 0.3604, and 110 points (dx = 0.36036) is the coarsest grid inside it
+    COARSE = "[measure]\nkind = uniform\na_min = 1.5\na_max = 5.0\ncount = 3\n"
+
+    @pytest.mark.parametrize(
+        "grid, dx",
+        [
+            ("n_points = 3", "10"),
+            ("n_points = 5", "6.667"),
+            ("n_points = 41", "0.9524"),
+            ("n_points = 109", "0.3636"),
+            ("x_max = 1e8", "1e+05"),
+        ],
+        ids=["3_points", "5_points", "41_points", "109_points", "x_max_1e8"],
+    )
+    def test_coarse_grid_is_config_error(self, tmp_path, capsys, grid, dx):
+        path = tmp_path / "coarse.ini"
+        path.write_text(f"[grid]\n{grid}\n{self.COARSE}")
+        assert run(["reference"], tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == (
+            f"configuration error: grid too coarse for n_funcs = 10: dx = {dx} "
+            "exceeds pi / (2 sqrt(2 n_funcs - 1)) = 0.3604"
+        )
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_just_inside_the_bound_runs(self, tmp_path):
+        path = tmp_path / "fine.ini"
+        path.write_text(f"[grid]\nn_points = 110\n{self.COARSE}")
+        assert load_config(str(path)).grid().dx < np.pi / (2.0 * np.sqrt(19.0))
+        assert run(["reference"], tmp_path, str(path)) == 0
+        assert len(os.listdir(tmp_path / "cache")) == 3
+
     @pytest.mark.parametrize(
         "command, extra",
         [

@@ -168,3 +168,14 @@ class TestOutArguments:
         out = np.full((shape[0] + 1, *shape[1:]), np.nan)
         assert fd_gradient(v, out) is out
         np.testing.assert_array_equal(out, fd_gradient(v))
+
+    @pytest.mark.parametrize("half", [1000, 1001])
+    def test_fd_gradient_on_points_last_views(self, rng, half):
+        # the offline build passes (points, parity, function) views of
+        # points-last arrays, input and out alike
+        F = rng.standard_normal((2, 4, half))
+        DF = np.full((2, 4, half + 1), np.nan)
+        out = DF.transpose(2, 0, 1)
+        assert fd_gradient(F.transpose(2, 0, 1), out) is out
+        assert np.array_equal(out, fd_gradient(F.transpose(2, 0, 1)))
+        assert np.array_equal(out, fd_gradient(F.transpose(2, 0, 1).copy()))

@@ -184,6 +184,21 @@ def test_parity_parts_are_the_mirror_combinations_of_the_dimer(n_points):
     )
 
 
+@pytest.mark.parametrize("n_points", [1999, 2000])
+def test_parity_parts_into_a_points_last_view(n_points):
+    # the offline build receives the parts in rows of (parity, function,
+    # point), through the transposed view; the values are those of the
+    # allocating form bit for bit, with the recurrence rows given or not
+    g = build_grid(20.0, n_points)
+    half = n_points - n_points // 2
+    F = np.full((2, 11, half), np.nan)
+    rows = np.empty((10, 2, half))
+    out = F[:, :10].transpose(0, 2, 1)
+    assert assemble_parity(g, 1.7, 10, out, rows) is out
+    assert np.array_equal(F[:, :10], assemble_parity(g, 1.7, 10).transpose(0, 2, 1))
+    assert np.isnan(F[:, 10]).all()
+
+
 def test_parity_path_keeps_the_dimer_checks():
     g = build_grid(5.0, 99)
     with pytest.warns(TailOverflowWarning), pytest.raises(ValueError):

@@ -738,9 +738,10 @@ class TestWorkspace:
         self, x_max, n_points, n_funcs
     ):
         # deterministic allocation budget: the half-grid intermediates of a
-        # build live in its one buffer of (2 half + 1) x 2 x (N + 1)
-        # doubles, and the rest of its peak stays below one full-grid B of
-        # n_points x 2 n_funcs doubles
+        # build live in its one buffer of 2 x (N + 1) x (2 half + 1)
+        # doubles, F of 2 x (N + 1) x half and D F of 2 x (N + 1) x
+        # (half + 1), points last; the rest of its peak stays below one
+        # full-grid B of n_points x 2 n_funcs doubles
         g = build_grid(x_max, n_points)
         half = n_points - n_points // 2
         buffer = (2 * half + 1) * 2 * (n_funcs + 1) * 8

@@ -224,3 +224,33 @@ def test_bench_summary_is_recomputed_from_the_runs(tmp_path):
     assert problems({"optimize_s": stated}, runs[:-1]) == [
         "BENCH_x.json: summary w optimize_s: no run for change seed 3"
     ]
+
+
+def test_bench_stated_identical_checksums_are_checked(tmp_path):
+    module = load_script("check_bench_records")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+
+    def run(workload, side, value):
+        result = {"correct": True, "failed": 0, "metrics": {}}
+        checksums = {"runs": {"JE N_b=1": value}}
+        return {
+            "workload": workload,
+            "seed": 1,
+            "side": side,
+            "result": result,
+            "checksums": checksums,
+        }
+
+    def problems(change_values, **record):
+        runs = [run("w", "parent", "0.25"), run("v", "parent", "0.5")]
+        runs += [run("w", "change", value) for value in change_values]
+        (tmp_path / "BENCH_x.json").write_text(json.dumps({"runs": runs, **record}))
+        return module.problems(str(tmp_path))
+
+    assert problems(["0.25"], identical_checksums=True) == []
+    assert problems(["0.25", "0.2500001"], identical_checksums=True) == [
+        "BENCH_x.json: runs 0 and 3 (w, seed 1, parent and change): checksums differ"
+    ]
+    # a record that states nothing, as every earlier one, is not checked
+    assert problems(["0.2500001"]) == []
+    assert module.main([str(tmp_path)]) == 0

@@ -1,8 +1,8 @@
 """Command-line driver: offline references, optimization, evaluation, CSV
 reports.
 
-Exit codes: 0 success, 2 configuration, usage or I/O error, 3 numerical
-failure, 4 non-convergence under --strict.
+Exit codes: 0 success, 2 configuration, usage, I/O or out-of-memory error,
+3 numerical failure, 4 non-convergence under --strict.
 """
 
 from __future__ import annotations
@@ -525,6 +525,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # e.g. a cache or output directory not writable
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a grid or curve too large to allocate
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailure, OvercompletenessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galerkin import expand, reduced_ground_pair
-from .grid import Grid
-from .hermite import assemble_dimer, hermite_functions
+from .grid import Grid, build_grid
+from .hermite import assemble_dimer
 from .reference import build_offline_single, solve_configuration
 
 
@@ -94,23 +94,14 @@ def curves(bases, a_values, grid: Grid, n_funcs: int) -> list[list[CurvePoint]]:
 energy_curve = curves
 
 
-def _diff(values: np.ndarray, dx: float) -> np.ndarray:
-    """Central differences, one-sided at the endpoints."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dx)
-    out[0] = (values[1] - values[0]) / dx
-    out[-1] = (values[-1] - values[-2]) / dx
-    return out
-
-
 def density_error(
     rho: np.ndarray, rho_ref: np.ndarray, dx: float
 ) -> tuple[float, float, float]:
     """L1, H1 and von-Weizsacker distances between the grid densities rho
-    and rho_ref."""
+    and rho_ref; derivatives by central differences, one-sided at the ends."""
     delta = rho - rho_ref
-    d_delta = _diff(delta, dx)
-    d_sqrt = _diff(np.sqrt(np.clip(rho, 0.0, None)) - np.sqrt(rho_ref), dx)
+    d_delta = np.gradient(delta, dx)
+    d_sqrt = np.gradient(np.sqrt(np.clip(rho, 0.0, None)) - np.sqrt(rho_ref), dx)
     return (
         float(dx * np.sum(np.abs(delta))),
         float(np.sqrt(dx * np.sum(delta**2) + dx * np.sum(d_delta**2))),
@@ -131,20 +122,12 @@ def _condition_number(columns: np.ndarray) -> float:
 def overlap_condition_sweep(n_basis: int, a_values) -> list[tuple[float, float]]:
     """Condition number of the analytic-quadrature HBS overlap per a.
 
-    The overlap is the Gram matrix of the sampled columns
-    sqrt(dx) [H_+, H_-] of the two centres' N_b Hermite functions. The
-    columns are sampled on a dedicated wide fine grid, so even a = 0.1 is
-    resolved.
+    The overlap is the Gram matrix of the dimer basis of the two centres'
+    N_b Hermite functions, sampled on a dedicated wide fine grid (range
+    +-30, step 0.005), so even a = 0.1 is resolved.
     """
-    out = []
-    quad_grid_x = np.linspace(-30.0, 30.0, 12001)
-    dxq = quad_grid_x[1] - quad_grid_x[0]
-    for a in np.asarray(a_values, dtype=float):
-        rows = np.vstack(
-            [
-                hermite_functions(quad_grid_x - a, n_basis),
-                hermite_functions(quad_grid_x + a, n_basis),
-            ]
-        )
-        out.append((float(a), _condition_number(np.sqrt(dxq) * rows.T)))
-    return out
+    grid = build_grid(30.005, 12001)
+    return [
+        (float(a), _condition_number(assemble_dimer(grid, a, n_basis)))
+        for a in np.asarray(a_values, dtype=float)
+    ]

@@ -59,12 +59,26 @@ def _check_centers(grid: Grid, a: float, n_funcs: int) -> None:
             f"Hermite tails for a={a}, n_funcs={n_funcs} may be truncated by "
             f"the box [-{grid.x_max}, {grid.x_max}]",
             TailOverflowWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of assemble_dimer or assemble_parity
         )
     if not -grid.x_max < a < grid.x_max:  # the box is symmetric: -a fits too
         raise ValueError(
             f"center {a} outside the open box (-{grid.x_max}, {grid.x_max})"
         )
+
+
+def _rows(grid: Grid, a: float, n_funcs: int, out=None) -> np.ndarray:
+    """sqrt(dx) h_k(x - a) at every grid point, rows of shape
+    (n_funcs, n_points), in `out` when given, after _check_centers.
+
+    The grid is mirror-symmetric bit for bit, fl(-x - a) = -fl(x + a), and
+    the recurrence maps y -> -y to (-1)^k h_k(y) exactly: sqrt(dx)
+    h_k(x + a) is (-1)^k rows[k, ::-1], the -a basis bit for bit.
+    """
+    _check_centers(grid, a, n_funcs)
+    rows = hermite_functions(grid.points - a, n_funcs, out)
+    np.multiply(np.sqrt(grid.dx), rows, out=rows)
+    return rows
 
 
 def assemble_dimer(grid: Grid, a: float, n_funcs: int) -> np.ndarray:
@@ -75,21 +89,16 @@ def assemble_dimer(grid: Grid, a: float, n_funcs: int) -> np.ndarray:
     products, and column norms are ~1 (trapezoidal quadrature of the exact
     normalization).
 
-    Both centres run through one Hermite recurrence on contiguous rows,
-    shape (n_funcs, 2, n_points), which are scaled and copied once into the
-    column layout of B. Tails cut by the box warn, a centre outside it
-    raises ValueError.
+    One Hermite recurrence gives the +a rows, shape (n_funcs, n_points);
+    the -a rows are those mirrored, times (-1)^k, and all 2 n_funcs rows
+    are copied once into the columns of B. Tails cut by the box warn, a
+    centre outside it raises ValueError.
     """
-    _check_centers(grid, a, n_funcs)
-    centers = np.array([[a], [-a]], dtype=float)
-    rows = hermite_functions(grid.points - centers, n_funcs)
-    B = np.empty((grid.n_points, 2 * n_funcs))
-    # B[:, s * n_funcs + k] = sqrt(dx) h_k(x - centre_s)
-    np.multiply(
-        np.sqrt(grid.dx),
-        rows.transpose(2, 1, 0),
-        out=B.reshape(grid.n_points, 2, n_funcs),
-    )
+    both = np.empty((2 * n_funcs, grid.n_points))
+    rows = _rows(grid, a, n_funcs, both[:n_funcs])
+    sign = (-1.0) ** np.arange(n_funcs)[:, None]
+    np.multiply(rows[:, ::-1], sign, out=both[n_funcs:])
+    B = np.ascontiguousarray(both.T)  # C order: B @ R rounds as it is tested
     B.setflags(write=False)
     return B
 
@@ -113,18 +122,17 @@ def assemble_parity(
     times E, O = (B_+ +- P B_+) / sqrt(2), and B = [E O] T with
     T = [[I, D], [I, -D]] / sqrt(2).
 
-    Both arguments run through one Hermite recurrence, rows of shape
-    (n_funcs, 2, n_half), held in `rows` when given; `out`, which may be a
-    strided view, receives the result. The checks are those of
-    assemble_dimer.
+    One Hermite recurrence runs over the whole grid, rows of shape
+    (n_funcs, n_points) as in assemble_dimer, held in `rows` when given:
+    h_k(x - a) is their right half and h_k(-x - a) their left half read
+    backwards. `out`, which may be a strided view, receives the result.
+    The checks are those of assemble_dimer.
     """
-    _check_centers(grid, a, n_funcs)
-    x = grid.points[grid.n_points // 2 :]
-    rows = hermite_functions(np.array([x - a, -x - a]), n_funcs, rows)
-    np.multiply(np.sqrt(grid.dx), rows, out=rows)
+    rows = _rows(grid, a, n_funcs, rows)
+    half = grid.n_points - grid.n_points // 2
     if out is None:
-        out = np.empty((2, len(x), n_funcs))
-    plus, minus = rows[:, 0].T, rows[:, 1].T
+        out = np.empty((2, half, n_funcs))
+    plus, minus = rows[:, grid.n_points // 2 :].T, rows[:, half - 1 :: -1].T
     np.add(plus, minus, out=out[0])
     np.subtract(plus, minus, out=out[1])
     return out

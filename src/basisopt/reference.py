@@ -22,7 +22,7 @@ iteration with shifts that a factorization proves to lie below its
 spectrum, and build_offline_single makes each record from Gram products
 of the even and odd parts of B on the half grid x >= 0, without forming
 B. Each build makes one half-grid buffer, which holds those parts with
-the FD pair, the Hermite recurrence rows, then the differences D of the
+the FD pair, the full-grid Hermite rows, then the differences D of the
 parts. The buffer is laid out points last, one row per parity and
 function, so the parity sums, the differences and the sqrt(V) scaling
 run along contiguous rows, and each Gram product is X X^T of a row
@@ -413,7 +413,7 @@ def build_offline_single(
     F = buffer[: 2 * (N + 1) * half].reshape(2, N + 1, half)
     DF = buffer[2 * (N + 1) * half :].reshape(2, N + 1, half + 1)
     # the Hermite recurrence rows borrow the memory of D F until it is made
-    rows = DF.reshape(-1)[: 2 * N * half].reshape(N, 2, half)
+    rows = DF.reshape(-1)[: N * n].reshape(N, n)
     assemble_parity(grid, a, N, F[:, :N].transpose(0, 2, 1), rows)
     for p, phi in enumerate((pair.phi1, pair.phi2)):
         np.multiply(np.sqrt(2.0), phi[n // 2 :], out=F[p, N])

@@ -202,8 +202,9 @@ class TestConfig:
             ("basis", "n_funcs", "abc"),
             ("measure", "count", "x"),
             ("criterion", "kind", "JX"),
+            ("measure", "kind", "gaussian"),
         ],
-        ids=["int", "measure_int", "criterion_kind"],
+        ids=["int", "measure_int", "criterion_kind", "measure_kind"],
     )
     def test_invalid_value_names_its_key(self, tmp_path, capsys, section, key, value):
         path = tmp_path / "bad.ini"
@@ -213,6 +214,7 @@ class TestConfig:
         assert line.startswith(f"configuration error: [{section}] {key}: ")
         assert repr(value) in line
         assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "section, text, reason",
@@ -229,8 +231,15 @@ class TestConfig:
                 "points and weights must have equal length",
             ),
             ("optimize", "grad_tol = -1", "grad_tol must be positive and finite"),
+            ("measure", "a_min = 0", "configurations must be positive"),
         ],
-        ids=["repeated_point", "zero_count", "one_weight", "negative_grad_tol"],
+        ids=[
+            "repeated_point",
+            "zero_count",
+            "one_weight",
+            "negative_grad_tol",
+            "zero_a_min",
+        ],
     )
     def test_value_a_dataclass_rejects_names_its_section(
         self, tmp_path, capsys, section, text, reason
@@ -242,6 +251,7 @@ class TestConfig:
         assert line.startswith(f"configuration error: [{section}] invalid value: ")
         assert reason in line
         assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -378,6 +388,30 @@ class TestConfig:
         assert load_config(str(path)).grid().dx < np.pi / (2.0 * np.sqrt(19.0))
         assert run(["reference"], tmp_path, str(path)) == 0
         assert len(os.listdir(tmp_path / "cache")) == 3
+
+    # 10**18 points are 8 EB, beyond any address space: the allocation is
+    # refused at once, never granted and paged in
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            (["reference"], "[grid]\nn_points = 1000000000000000000\n"),
+            (
+                ["report", "--hbs", "1"],
+                "[report]\ncurve_points = 1000000000000000000\n",
+            ),
+        ],
+        ids=["n_points", "curve_points"],
+    )
+    def test_allocation_too_large_is_one_line_exit_2(
+        self, tmp_path, capsys, command, extra
+    ):
+        path = tmp_path / "huge.ini"
+        path.write_text(SMALL_CONFIG.replace("[grid]\nn_points = 699\n", "") + extra)
+        assert run(command, tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("out of memory: Unable to allocate")
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize(
         "command, extra",
@@ -738,6 +772,45 @@ class TestEvaluateReport:
         code = run(["evaluate", str(path), "--hbs", "1"], tmp_path, small_config)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            ("missing", "unreadable artifact"),
+            ("not-json", "unreadable artifact"),
+            ("schema", "unsupported artifact schema"),
+            ("no-grid", "lacks n_funcs, n_basis, criterion or grid"),
+        ],
+        ids=["missing", "not_json", "schema", "no_grid"],
+    )
+    def test_artifact_unusable_is_config_error(
+        self, tmp_path, small_config, capsys, command, broken, message
+    ):
+        doc = artifact_doc(load_config(small_config), 1)
+        if broken == "schema":
+            doc["schema_version"] = 2
+        elif broken == "no-grid":
+            del doc["grid"]
+        path = tmp_path / "bad.json"
+        if broken != "missing":
+            path.write_text("{" if broken == "not-json" else json.dumps(doc))
+        assert run([command, str(path)], tmp_path, small_config) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error:") and message in line
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    @pytest.mark.parametrize("n_basis", ["0", "6"], ids=["zero", "n_funcs_plus_1"])
+    def test_hbs_outside_range_is_config_error(
+        self, tmp_path, small_config, capsys, command, n_basis
+    ):
+        assert run([command, "--hbs", n_basis], tmp_path, small_config) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "configuration error: --hbs needs 1 <= N_B <= n_funcs = 5"
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
+
 
     @pytest.mark.parametrize("command", ["evaluate", "report"])
     @pytest.mark.parametrize(
@@ -897,8 +970,24 @@ class TestStartupAndSolves:
         assert run(["report", "--hbs", "1", "--hbs", "2"], tmp_path, str(path)) == 0
         assert len(calls) == 2 * 4
 
+    def test_failed_fd_solve_is_numerical_failure(
+        self, tmp_path, small_config, capsys, monkeypatch
+    ):
+        # a tridiagonal that no shift factors: the inverse iteration stops
+        _, solve = reference._lapack_pt()
+        monkeypatch.setattr(
+            reference, "_lapack_pt", lambda: (lambda d, e: (d, e, 1), solve)
+        )
+        assert run(["reference"], tmp_path, small_config) == 3
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("numerical failure: reference solve failed at a=1.5: ")
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
+
     def test_report_one_dimer_basis_for_all_artifacts(self, tmp_path, monkeypatch):
-        # one basis per curve point, and one for every basis-function file
+        # on the run grid, one basis per curve point and one for every
+        # basis-function file; the condition sweep samples 40 per N_b on its
+        # own 12001-point grid
         calls = []
         assemble = cli.assemble_dimer
 
@@ -911,7 +1000,11 @@ class TestStartupAndSolves:
         path = tmp_path / "rep.ini"
         path.write_text(SMALL_CONFIG + "\n[report]\ncurve_points = 4\n")
         assert run(["report", "--hbs", "1", "--hbs", "2"], tmp_path, str(path)) == 0
-        assert len(calls) == 4 + 1
+        # Grid == compares arrays elementwise: the calls are told apart by size
+        assert [args[0].n_points for args in calls].count(699) == 4 + 1
+        sweep = [args[2] for args in calls if args[0].n_points == 12001]
+        assert sweep == [1] * 40 + [2] * 40
+        assert len(calls) == 4 + 1 + 80
         out = tmp_path / "out"
         assert len(list(out.glob("basis_functions_*.csv"))) == 2
 

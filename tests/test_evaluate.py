@@ -76,11 +76,8 @@ class TestEnergyCurve:
 
 class TestDensityError:
     def test_zero_for_identical_densities(self, grid_main):
-        from basisopt.evaluate import _diff
-
         rho = np.exp(-grid_main.points**2)
-        delta = rho - rho
-        assert np.linalg.norm(_diff(delta, grid_main.dx)) == 0.0
+        assert density_error(rho, rho, grid_main.dx) == (0.0, 0.0, 0.0)
         err = curve_point(hbs_coefficients(10, 10), 3.0, grid_main)
         # full N-function span: only the Hermite truncation error remains
         assert err.l1 < 1e-3 and err.h1 < 1e-3 and err.vw < 1e-3

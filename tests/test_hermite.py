@@ -61,13 +61,17 @@ def test_rows_equal_column_recurrence(n_funcs):
 
 
 def test_dimer_equals_column_recurrence():
-    g = build_grid(20.0, 1999)
-    expected = np.hstack(
-        [np.sqrt(g.dx) * column_recurrence(g.points - c, 10) for c in (1.7, -1.7)]
-    )
-    b = assemble_dimer(g, 1.7, 10)
-    np.testing.assert_array_equal(b, expected)
-    assert not b.flags.writeable
+    # the -a block, the mirrored +a rows, equals its own recurrence bit for
+    # bit, on an odd and an even grid; B is in C order
+    for n_points in (1999, 2000):
+        g = build_grid(20.0, n_points)
+        expected = np.hstack(
+            [np.sqrt(g.dx) * column_recurrence(g.points - c, 10) for c in (1.7, -1.7)]
+        )
+        b = assemble_dimer(g, 1.7, 10)
+        np.testing.assert_array_equal(b, expected)
+        assert not b.flags.writeable
+        assert b.flags.c_contiguous  # the order in which B @ R was tested
 
 
 def test_ground_state_value_at_center():
@@ -159,6 +163,13 @@ class TestAssembleDimer:
             assemble_dimer(g, 5.0, 10)
 
 
+@pytest.mark.parametrize("assemble", [assemble_dimer, assemble_parity])
+def test_tail_warning_names_the_caller(assemble):
+    with pytest.warns(TailOverflowWarning) as record:
+        assemble(build_grid(10.0, 999), 5.0, 10)
+    assert record[0].filename == __file__
+
+
 def test_center_outside_box_rejected():
     g = build_grid(5.0, 99)
     with pytest.warns(TailOverflowWarning), pytest.raises(ValueError):
@@ -192,7 +203,7 @@ def test_parity_parts_into_a_points_last_view(n_points):
     g = build_grid(20.0, n_points)
     half = n_points - n_points // 2
     F = np.full((2, 11, half), np.nan)
-    rows = np.empty((10, 2, half))
+    rows = np.empty((10, n_points))
     out = F[:, :10].transpose(0, 2, 1)
     assert assemble_parity(g, 1.7, 10, out, rows) is out
     assert np.array_equal(F[:, :10], assemble_parity(g, 1.7, 10).transpose(0, 2, 1))

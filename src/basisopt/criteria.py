@@ -9,7 +9,8 @@ gradient from it. Callers take make_criterion(kind, stacks[kind.metric]);
 eval_* and grad_*, thin wrappers over the same kernels, serve the
 benchmark harness. The solve is one batched Cholesky factorization
 S_red = L L^T, used through X = L^{-1} (Golub & Van Loan, Matrix
-Computations, sec. 8.7); J_E adds one batched eigh of X H_red X^T.
+Computations, sec. 8.7), which LAPACK's triangular inverse dtrtri forms
+one configuration at a time; J_E adds one batched eigh of X H_red X^T.
 J_A takes the rank-2 FD density matrix from its 2 x 2N factor G_A and
 forms neither M_red nor S_red^{-1} (Higham, Accuracy and Stability of
 Numerical Algorithms, chs. 10 and 20).

@@ -17,7 +17,7 @@ import numpy as np
 
 from .galerkin import expand, reduced_ground_pair
 from .grid import Grid, build_grid
-from .hermite import assemble_dimer
+from .hermite import _dimer_rows, assemble_dimer
 from .reference import build_offline_single, solve_configuration
 
 
@@ -109,14 +109,19 @@ def density_error(
     )
 
 
+_EPS = np.finfo(float).eps
+
+
 def _condition_number(columns: np.ndarray) -> float:
     """Condition number of the Gram matrix of the sampled columns,
-    (s_max / s_min)^2 from their singular values, infinite when s_min is 0:
-    accurate up to about 1/eps^2, where an eigensolve of the Gram matrix
-    stops at 1/eps (Higham, Accuracy and Stability, ch. 20)."""
+    (s_max / s_min)^2 from their singular values: accurate up to about
+    1/eps^2, where an eigensolve of the Gram matrix stops at 1/eps
+    (Higham, Accuracy and Stability, ch. 20). Past that limit, when
+    s_min <= eps s_max, the singular values cannot resolve it and the
+    result is inf. `columns` may be in either memory order."""
     # of the tall columns: faster than of their transpose
     s = np.linalg.svd(columns, compute_uv=False)
-    return float((s[0] / s[-1]) ** 2) if s[-1] > 0 else np.inf
+    return float((s[0] / s[-1]) ** 2) if s[-1] > _EPS * s[0] else np.inf
 
 
 def overlap_condition_sweep(n_basis: int, a_values) -> list[tuple[float, float]]:
@@ -128,6 +133,6 @@ def overlap_condition_sweep(n_basis: int, a_values) -> list[tuple[float, float]]
     """
     grid = build_grid(30.005, 12001)
     return [
-        (float(a), _condition_number(assemble_dimer(grid, a, n_basis)))
+        (float(a), _condition_number(_dimer_rows(grid, a, n_basis).T))
         for a in np.asarray(a_values, dtype=float)
     ]

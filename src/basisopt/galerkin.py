@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._lapack import flapack
+
 DEFAULT_COND_LIMIT = 1e12
 GAP_TOL = 1e-10
 
@@ -66,9 +68,30 @@ def _condition(vals: np.ndarray) -> np.ndarray:
     return np.divide(smax, smin, out=np.full(smin.shape, np.inf), where=smin > 0)
 
 
+def _inv_lower(L: np.ndarray) -> np.ndarray | None:
+    """L^{-1} of a lower triangular matrix or stack, as np.linalg.cholesky
+    returns it (zero above the diagonal), or None when LAPACK's dtrtri
+    reports a zero pivot.
+
+    dtrtri inverts each matrix in place, in L's memory: the transpose of a
+    C-ordered lower matrix is a Fortran-ordered upper one, and the zeros
+    above the diagonal are not touched."""
+    dtrtri = flapack().dtrtri
+    # f2py overwrites only a float64 Fortran-ordered argument, x.T of a
+    # C-ordered x; any other it would copy, and X would keep L
+    X = np.ascontiguousarray(L, dtype=float)
+    for x in X.reshape(-1, *X.shape[-2:]):
+        if dtrtri(x.T, lower=0, overwrite_c=1)[1]:
+            return None
+    return X
+
+
 def inv_sqrt_spd(S: np.ndarray, a=None) -> np.ndarray:
     """Inverse Cholesky square root X = L^{-1} of an SPD matrix or stack,
-    where S = L L^T; then X^T X = S^{-1} and X S X^T = I.
+    where S = L L^T; then X^T X = S^{-1} and X S X^T = I. L comes from
+    np.linalg.cholesky and X from LAPACK's triangular inverse dtrtri, a
+    stable inversion (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 14), so X is exactly lower triangular.
 
     S must be symmetric, as `reduced_overlap` returns it. For a (K, n, n)
     stack X carries the leading axis, and `a` holds one configuration per
@@ -80,15 +103,16 @@ def inv_sqrt_spd(S: np.ndarray, a=None) -> np.ndarray:
     norms. Its factor of 2 below the limit covers the rounding of the bound
     and of the eigenvalue test, each about n eps cond relative, so a
     cleared stack is one the test would clear too. Any other stack, and
-    one whose factorization breaks down, goes to the eigenvalue test: one
+    one whose factorization breaks down or whose dtrtri reports a zero
+    pivot, goes to the eigenvalue test: one
     `eigh` of the stack (which reads the lower triangle of S only), with a
     matrix holding a non-finite entry taken as singular.
     """
     try:
-        X = np.linalg.inv(np.linalg.cholesky(S))
+        X = _inv_lower(np.linalg.cholesky(S))
     except np.linalg.LinAlgError:  # not positive definite in working precision
         X = None
-    else:
+    if X is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the test
             bound = np.linalg.norm(S, axis=(-2, -1)) * (X * X).sum(axis=(-2, -1))
         if np.all(bound <= 0.5 * DEFAULT_COND_LIMIT):

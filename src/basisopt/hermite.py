@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -55,11 +56,15 @@ def _check_centers(grid: Grid, a: float, n_funcs: int) -> None:
     warn: truncation degrades accuracy, not validity.
     """
     if a + tail_reach(n_funcs) >= grid.x_max:
+        # the warning names the first caller outside this module
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"Hermite tails for a={a}, n_funcs={n_funcs} may be truncated by "
             f"the box [-{grid.x_max}, {grid.x_max}]",
             TailOverflowWarning,
-            stacklevel=4,  # the caller of assemble_dimer or assemble_parity
+            stacklevel=level,
         )
     if not -grid.x_max < a < grid.x_max:  # the box is symmetric: -a fits too
         raise ValueError(
@@ -89,18 +94,24 @@ def assemble_dimer(grid: Grid, a: float, n_funcs: int) -> np.ndarray:
     products, and column norms are ~1 (trapezoidal quadrature of the exact
     normalization).
 
-    One Hermite recurrence gives the +a rows, shape (n_funcs, n_points);
-    the -a rows are those mirrored, times (-1)^k, and all 2 n_funcs rows
-    are copied once into the columns of B. Tails cut by the box warn, a
-    centre outside it raises ValueError.
+    The 2 n_funcs rows of _dimer_rows are copied once into the columns of
+    B. Tails cut by the box warn, a centre outside it raises ValueError.
     """
+    # C order: B @ R rounds as it is tested
+    B = np.ascontiguousarray(_dimer_rows(grid, a, n_funcs).T)
+    B.setflags(write=False)
+    return B
+
+
+def _dimer_rows(grid: Grid, a: float, n_funcs: int) -> np.ndarray:
+    """The rows of B_a, shape (2 n_funcs, n_points): B_a^T, which B_a
+    copies. One Hermite recurrence gives the +a rows; the -a rows are
+    those mirrored, times (-1)^k."""
     both = np.empty((2 * n_funcs, grid.n_points))
     rows = _rows(grid, a, n_funcs, both[:n_funcs])
     sign = (-1.0) ** np.arange(n_funcs)[:, None]
     np.multiply(rows[:, ::-1], sign, out=both[n_funcs:])
-    B = np.ascontiguousarray(both.T)  # C order: B @ R rounds as it is tested
-    B.setflags(write=False)
-    return B
+    return both
 
 
 def assemble_parity(

@@ -36,19 +36,16 @@ to a long-double B^T H_FD B at 1999 to 8000 points).
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import importlib.machinery
-import importlib.util
 import json
 import os
-import sys
 import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._lapack import flapack
 from .galerkin import _sym
 from .grid import Grid, TridiagOperator, fd_gradient, fd_hamiltonian, potential
 from .hermite import assemble_parity
@@ -133,48 +130,14 @@ def uniform_measure(
 _SQRT_HALF = np.sqrt(0.5)
 _EPS = np.finfo(float).eps
 _MAX_STEPS = 50
-_FLAPACK = "scipy.linalg._flapack"
 
 
-def _flapack_file() -> str | None:
-    """The path of scipy's LAPACK extension module, found without
-    importing scipy, or None when scipy or the file is missing."""
-    spec = importlib.util.find_spec("scipy")
-    for root in (spec and spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
-
-
-@functools.cache
 def _lapack_pt():
     """LAPACK's dpttrf and dpttrs, the routines scipy.linalg.lapack
-    re-exports, taken from its extension module scipy.linalg._flapack.
-
-    Importing the scipy.linalg package costs about 0.25 s and 20 MB per
-    process (numpy.f2py, numpy.testing and numpy.ma come with it), so the
-    extension is loaded on its own when no one has imported it yet. It
-    stays under its own name in sys.modules, as every extension module
-    does, and a later `import scipy.linalg` takes that module and these
-    same routine objects. Without the file, or if it does not load, the
-    routines come from scipy.linalg.lapack."""
-    flapack = sys.modules.get(_FLAPACK)
-    path = None if flapack else _flapack_file()
-    if path:
-        loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
-        spec = importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
-        try:
-            flapack = importlib.util.module_from_spec(spec)
-            loader.exec_module(flapack)
-        except ImportError:
-            flapack = None
-    if flapack is None:
-        from scipy.linalg.lapack import dpttrf, dpttrs
-
-        return dpttrf, dpttrs
-    return flapack.dpttrf, flapack.dpttrs
+    re-exports, taken from its extension module as `_lapack.flapack` loads
+    it, so a solve leaves the scipy.linalg package unimported."""
+    routines = flapack()
+    return routines.dpttrf, routines.dpttrs
 
 
 def solve_ground_pair(H: TridiagOperator) -> GroundPair:

@@ -39,6 +39,19 @@ def hermite_columns(grid, center: float, n_funcs: int) -> np.ndarray:
     return np.sqrt(grid.dx) * hermite_functions(grid.points - center, n_funcs).T
 
 
+def inv_cholesky(S: np.ndarray) -> np.ndarray:
+    """X = L^{-1} for S = L L^T, one matrix or a stack: np.linalg.cholesky,
+    then scipy.linalg.lapack.dtrtri on each factor's transpose, the upper
+    triangle L^T, out of place."""
+    L = np.linalg.cholesky(S)
+    X = np.empty_like(L)
+    for x, factor in zip(X.reshape(-1, *L.shape[-2:]), L.reshape(-1, *L.shape[-2:])):
+        inverse, info = scipy.linalg.lapack.dtrtri(factor.T, lower=0)
+        assert info == 0
+        x[...] = inverse.T
+    return X
+
+
 def full_grid_record(grid, a: float, n_funcs: int) -> OfflineRecord:
     """The offline record from one full-size eigensolve and the full-grid
     B = assemble_dimer(grid, a, n_funcs): the build formulas without the

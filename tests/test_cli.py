@@ -986,25 +986,30 @@ class TestStartupAndSolves:
 
     def test_report_one_dimer_basis_for_all_artifacts(self, tmp_path, monkeypatch):
         # on the run grid, one basis per curve point and one for every
-        # basis-function file; the condition sweep samples 40 per N_b on its
-        # own 12001-point grid
-        calls = []
-        assemble = cli.assemble_dimer
+        # basis-function file; the condition sweep samples the rows of 40
+        # per N_b on its own 12001-point grid, and assembles no B
+        calls, sweep_calls = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return assemble(*args, **kwargs)
+        def counting(function, into):
+            def counted(*args, **kwargs):
+                into.append(args)
+                return function(*args, **kwargs)
 
+            return counted
+
+        counted = counting(cli.assemble_dimer, calls)
         monkeypatch.setattr(cli, "assemble_dimer", counted)
         monkeypatch.setattr(evaluate, "assemble_dimer", counted)
+        monkeypatch.setattr(
+            evaluate, "_dimer_rows", counting(evaluate._dimer_rows, sweep_calls)
+        )
         path = tmp_path / "rep.ini"
         path.write_text(SMALL_CONFIG + "\n[report]\ncurve_points = 4\n")
         assert run(["report", "--hbs", "1", "--hbs", "2"], tmp_path, str(path)) == 0
-        # Grid == compares arrays elementwise: the calls are told apart by size
-        assert [args[0].n_points for args in calls].count(699) == 4 + 1
-        sweep = [args[2] for args in calls if args[0].n_points == 12001]
-        assert sweep == [1] * 40 + [2] * 40
-        assert len(calls) == 4 + 1 + 80
+        assert [args[0].n_points for args in calls] == [699] * (4 + 1)
+        # Grid == compares arrays elementwise: the grids are told apart by size
+        assert [args[0].n_points for args in sweep_calls] == [12001] * 80
+        assert [args[2] for args in sweep_calls] == [1] * 40 + [2] * 40
         out = tmp_path / "out"
         assert len(list(out.glob("basis_functions_*.csv"))) == 2
 

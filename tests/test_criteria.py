@@ -1,11 +1,15 @@
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import basisopt
 from basisopt.criteria import (
     CriterionKind,
     eval_JA,
@@ -29,7 +33,7 @@ from basisopt.reference import (
     stack_offline,
 )
 from basisopt.stiefel import random_stiefel, tangent_project
-from conftest import hermite_columns
+from conftest import hermite_columns, inv_cholesky
 
 
 def config(offline: OfflineStack, k: int) -> OfflineStack:
@@ -434,8 +438,8 @@ def _reduced_oracle(block, R):
 
 
 def _inv_cholesky_oracle(S):
-    """X = L^{-1} for S = L L^T."""
-    return np.linalg.inv(np.linalg.cholesky(_sym_oracle(S)))
+    """X = L^{-1} for S = L L^T, by LAPACK's dtrtri on each factor."""
+    return inv_cholesky(_sym_oracle(S))
 
 
 def _diag_blocks_oracle(M):
@@ -518,6 +522,37 @@ class TestBitIdentity:
         rng = np.random.default_rng(200)
         offline = synthetic_stack(rng, 200, 20)
         _assert_bit_identical(kind, random_stiefel(rng, 20, 6), offline)
+
+
+def test_criteria_load_only_the_lapack_extension():
+    # a J_A and a J_E call take dtrtri from LAPACK's extension module, which
+    # CPython records under its name, and import no scipy package
+    src = os.path.dirname(os.path.dirname(basisopt.__file__))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from basisopt.criteria import CriterionKind, make_criterion\n"
+        "from basisopt.reference import OfflineStack\n"
+        "rng = np.random.default_rng(3)\n"
+        "B = rng.standard_normal((2, 5, 12, 6))\n"
+        "s, m = B.swapaxes(-1, -2) @ B\n"
+        "stack = OfflineStack(\n"
+        "    a=np.linspace(1.5, 5.0, 5), weight=np.ones(5), e_ref=np.zeros(5),\n"
+        "    g_a=rng.standard_normal((5, 2, 6)), s_a=s, m_e=m, s_b=s,\n"
+        ")\n"
+        "R = np.eye(3)[:, :2]\n"
+        "for kind in (CriterionKind.JA_L2, CriterionKind.JE):\n"
+        "    make_criterion(kind, stack)(R)\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy.linalg._flapack']"
 
 
 @pytest.mark.parametrize("kind", list(CriterionKind))

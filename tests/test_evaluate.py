@@ -19,7 +19,8 @@ from basisopt.galerkin import (
     reduced_ground_pair,
     reduced_overlap,
 )
-from basisopt.hermite import assemble_dimer
+from basisopt.grid import build_grid
+from basisopt.hermite import assemble_dimer, hermite_functions
 from basisopt.reference import build_offline_single, solve_configuration
 
 
@@ -118,6 +119,29 @@ class TestConditionSweep:
         t = -np.expm1(-(a_values**2))
         conds = [c for _, c in overlap_condition_sweep(1, a_values)]
         np.testing.assert_allclose(conds, (2 - t) / t, rtol=1e-9)
+
+    @pytest.mark.parametrize("nb", [1, 2, 4])
+    def test_resolved_sweep_is_the_ratio_of_singular_values(self, nb):
+        # report's sweep at N_b <= 4 stays below 1/eps^2, and reading the
+        # rows gives the bits of the SVD of the C-order B
+        grid = build_grid(30.005, 12001)
+        for a, cond in overlap_condition_sweep(nb, np.geomspace(0.1, 5, 40)):
+            s = np.linalg.svd(assemble_dimer(grid, a, nb), compute_uv=False)
+            assert s[-1] > np.finfo(float).eps * s[0]
+            assert cond == (s[0] / s[-1]) ** 2
+
+    def test_unresolved_condition_is_inf(self):
+        # N_b = 10 at a = 0.1: s_min / s_max is below eps on both samplings
+        # of the sweep's grid, which gave values a factor 6.7 apart
+        a, nb = 0.1, 10
+        points = np.linspace(-30.0, 30.0, 12001)
+        dx = points[1] - points[0]
+        rows = [hermite_functions(points - c, nb) for c in (a, -a)]
+        linspace_columns = np.sqrt(dx) * np.vstack(rows).T
+        s = np.linalg.svd(linspace_columns, compute_uv=False)
+        assert s[-1] <= np.finfo(float).eps * s[0]
+        assert evaluate._condition_number(linspace_columns) == np.inf
+        assert overlap_condition_sweep(nb, [a]) == [(a, np.inf)]
 
     def test_larger_basis_blows_up_sooner(self):
         a_values = np.linspace(0.5, 5.0, 10)

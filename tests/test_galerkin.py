@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from basisopt import galerkin
 from basisopt.galerkin import (
     DegenerateGapWarning,
     OvercompletenessError,
@@ -18,6 +19,7 @@ from basisopt.grid import build_grid, fd_hamiltonian
 from basisopt.hermite import assemble_dimer
 from basisopt.reference import solve_ground_pair
 from basisopt.stiefel import random_stiefel
+from conftest import inv_cholesky
 
 
 class TestExpand:
@@ -124,6 +126,7 @@ class TestInvSqrtSpd:
         M = rng.standard_normal((8, 8))
         S = M @ M.T + 0.5 * np.eye(8)
         X = inv_sqrt_spd(S)
+        assert np.array_equal(X, np.tril(X))
         np.testing.assert_allclose(X @ S @ X.T, np.eye(8), atol=1e-10)
         np.testing.assert_allclose(X.T @ X, np.linalg.inv(S), atol=1e-10)
 
@@ -143,8 +146,36 @@ class TestInvSqrtSpd:
         result = inv_sqrt_spd(stack)
         assert result.shape == (5, 4, 4)
         for S, res in zip(stack, result):
-            single = inv_sqrt_spd(S)
-            np.testing.assert_allclose(res, single, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(res, inv_sqrt_spd(S))
+
+    def test_dense_size_stack_is_lower_triangular(self, rng):
+        # the dense benchmark's reduced overlaps: K = 200 of size 2 N_b = 12
+        stack = np.stack([_spd(rng, np.geomspace(1.0, 1e-4, 12)) for _ in range(200)])
+        X = inv_sqrt_spd(stack)
+        assert np.array_equal(X, np.tril(X))
+        assert np.array_equal(X, inv_cholesky(stack))
+        # the componentwise residual bound of a stable triangular inverse,
+        # |X L - I| <= n eps |X| |L| (Higham, Accuracy and Stability, ch. 14),
+        # which holds with zeros where |X| |L| is zero
+        L = np.linalg.cholesky(stack)
+        eps = np.finfo(float).eps
+        assert (np.abs(X @ L - np.eye(12)) <= 12 * eps * (np.abs(X) @ np.abs(L))).all()
+
+    def test_zero_pivot_goes_to_the_eigenvalue_test(self, monkeypatch):
+        # a dtrtri that reports a singular factor: the eigenvalue test
+        # decides, and gives an X from the eigenvectors when it clears S
+        class Singular:
+            @staticmethod
+            def dtrtri(c, lower, overwrite_c):
+                return c, 1
+
+        monkeypatch.setattr(galerkin, "flapack", lambda: Singular)
+        S = np.diag([4.0, 1.0])
+        X = inv_sqrt_spd(S)
+        np.testing.assert_allclose(X @ S @ X.T, np.eye(2), atol=1e-15)
+        with pytest.raises(OvercompletenessError) as exc_info:
+            inv_sqrt_spd(np.stack([S, np.diag([1e13, 1.0])]), a=[1.5, 2.0])
+        assert exc_info.value.a == 2.0
 
     def test_stack_names_first_bad_matrix(self):
         stack = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, -1.0])])
@@ -162,13 +193,13 @@ class TestInvSqrtSpd:
         monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S) or eigh(S))
         X = inv_sqrt_spd(stack, a=[1.5, 2.0, 2.5])
         assert len(calls) == 1 and _eigenvalue_guard(stack) is None
-        np.testing.assert_array_equal(X, np.linalg.inv(np.linalg.cholesky(stack)))
+        np.testing.assert_array_equal(X, inv_cholesky(stack))
 
     def test_tight_bound_skips_the_eigenvalue_test(self, rng, monkeypatch):
         stack = np.stack([_spd(rng, np.geomspace(1.0, 1e-6, 12)) for _ in range(3)])
         monkeypatch.setattr(np.linalg, "eigh", None)  # any call fails
         X = inv_sqrt_spd(stack)
-        np.testing.assert_array_equal(X, np.linalg.inv(np.linalg.cholesky(stack)))
+        np.testing.assert_array_equal(X, inv_cholesky(stack))
 
     def test_ill_conditioned_mid_stack_message_unchanged(self, rng):
         spectra = ([1.0] * 11 + [1e-6], [1.0] * 11 + [0.98e-12], [1.0] * 11 + [1e-3])

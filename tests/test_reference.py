@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from basisopt import reference
-from basisopt.galerkin import hbs_coefficients, reduced_ground_pair
+from basisopt import _lapack as lapack, reference
+from basisopt.galerkin import hbs_coefficients, inv_sqrt_spd, reduced_ground_pair
 from basisopt.grid import TridiagOperator, build_grid, fd_hamiltonian
 from basisopt.hermite import assemble_dimer
 from basisopt.reference import (
@@ -227,16 +227,22 @@ def _solves(calls: list) -> int:
     return sum(kind == "solve" for kind, _ in calls)
 
 
+def _spd_stack(rng, k: int, n: int) -> np.ndarray:
+    """K random SPD matrices of size n."""
+    M = rng.standard_normal((k, n, n))
+    return M @ M.swapaxes(1, 2) + np.eye(n)
+
+
 class TestLapackLoad:
-    """_lapack_pt loads scipy's LAPACK extension without the scipy.linalg
+    """lapack.flapack loads scipy's LAPACK extension without the scipy.linalg
     package, and falls back on scipy.linalg.lapack without the file."""
 
     @pytest.fixture
     def uncached(self):
-        """_lapack_pt with an empty cache, emptied again afterwards."""
-        reference._lapack_pt.cache_clear()
+        """lapack.flapack with an empty cache, emptied again afterwards."""
+        lapack.flapack.cache_clear()
         yield
-        reference._lapack_pt.cache_clear()
+        lapack.flapack.cache_clear()
 
     def test_solve_then_scipy_import_shares_the_routines(self):
         src = os.path.dirname(os.path.dirname(reference.__file__))
@@ -251,6 +257,8 @@ class TestLapackLoad:
             "import scipy.linalg.lapack as lapack\n"
             "factor, solve = reference._lapack_pt()\n"
             "assert factor is lapack.dpttrf and solve is lapack.dpttrs\n"
+            "from basisopt._lapack import flapack\n"
+            "assert flapack().dtrtri is lapack.dtrtri\n"
             "d, e = np.array([2.0, 1.0, 3.0]), np.array([0.5, -0.25])\n"
             "vals = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)\n"
             "dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)\n"
@@ -270,13 +278,16 @@ class TestLapackLoad:
     def test_fallback_gives_the_same_pair(
         self, monkeypatch, tmp_path, uncached, lookup
     ):
-        import scipy.linalg.lapack as lapack
+        import scipy.linalg.lapack as scipy_lapack
 
         grid = build_grid(20.0, 399)
+        stack = _spd_stack(np.random.default_rng(5), 3, 6)
         # the extension loaded from its file, with no module to reuse
-        monkeypatch.delitem(sys.modules, reference._FLAPACK)
+        monkeypatch.delitem(sys.modules, lapack.FLAPACK)
         factor, solve = reference._lapack_pt()
-        assert factor is lapack.dpttrf and solve is lapack.dpttrs
+        assert factor is scipy_lapack.dpttrf and solve is scipy_lapack.dpttrs
+        assert lapack.flapack().dtrtri is scipy_lapack.dtrtri
+        direct_inverse = inv_sqrt_spd(stack)
         direct_calls = []
         with monkeypatch.context() as m:
             routines = _recording(factor, solve, direct_calls)
@@ -284,17 +295,19 @@ class TestLapackLoad:
             direct = reference.solve_configuration(grid, 2.0)
         # no file, or one that does not load: the routines are read from
         # scipy.linalg.lapack
-        reference._lapack_pt.cache_clear()
-        monkeypatch.delitem(sys.modules, reference._FLAPACK)
+        lapack.flapack.cache_clear()
+        monkeypatch.delitem(sys.modules, lapack.FLAPACK)
         path = None
         if lookup == "unloadable":
             path = tmp_path / "_flapack.so"
             path.write_bytes(b"not a shared object")
-        monkeypatch.setattr(reference, "_flapack_file", lambda: path and str(path))
+        monkeypatch.setattr(lapack, "_flapack_file", lambda: path and str(path))
+        assert lapack.flapack() is scipy_lapack
+        assert np.array_equal(inv_sqrt_spd(stack), direct_inverse)
         fallback_calls = []
         recorded = _recording(factor, solve, fallback_calls)
-        monkeypatch.setattr(lapack, "dpttrf", recorded[0])
-        monkeypatch.setattr(lapack, "dpttrs", recorded[1])
+        monkeypatch.setattr(scipy_lapack, "dpttrf", recorded[0])
+        monkeypatch.setattr(scipy_lapack, "dpttrs", recorded[1])
         fallback = reference.solve_configuration(grid, 2.0)
         assert _solves(fallback_calls) == _solves(direct_calls) > 0
         assert (fallback.lambda1, fallback.lambda2) == (direct.lambda1, direct.lambda2)

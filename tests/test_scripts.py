@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from basisopt import reference
+from basisopt.grid import build_grid
 from basisopt.stiefel import OptimReport, OptimSettings
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
@@ -65,6 +66,59 @@ def test_run_tables_one_solve_per_configuration(tmp_path, monkeypatch, capsys, c
             str(OptimSettings().max_iter),
             str(OptimSettings().lbfgs_memory),
         )
+
+
+def test_run_tables_draw_zero_is_the_plain_run(tmp_path, capsys):
+    # draw 0 is the records as built: its rows are the plain run's, bit for
+    # bit, apart from the wall time; every draw makes the 12 rows
+    module = load_script("run_tables")
+    argv = ["--n-points", "399", "--n-funcs", "4", "--csv"]
+    assert module.main([*argv, str(tmp_path / "plain.csv")]) == 0
+    plain_out = capsys.readouterr().out.splitlines()
+    assert module.main([*argv, str(tmp_path / "draws.csv"), "--draws", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+
+    def rows(name):
+        with open(tmp_path / name) as fh:
+            return [{**row, "seconds": None} for row in csv.DictReader(fh)]
+
+    plain, drawn = rows("plain.csv"), rows("draws.csv")
+    assert [row["draw"] for row in drawn] == ["0"] * 12 + ["1"] * 12 + ["2"] * 12
+    assert drawn[:12] == plain
+    assert [line for line in out if line.startswith("draw 0  ")] == [
+        "draw 0  " + line for line in plain_out[:12]
+    ]
+    spread = [line for line in out if line.startswith("spread ")]
+    assert len(spread) == 13 and all("over 3 draws" in line for line in spread)
+    assert spread[-1].startswith("spread over 3 draws: ")
+    assert out[-2].startswith("total: 36 runs, ")
+
+
+def test_rounding_draw_moves_the_last_bits_only():
+    module = load_script("run_tables")
+    points = reference.default_measure().points
+    pairs = reference.load_or_build_each(build_grid(20.0, 399), points, 4, None)
+    stacks = reference.stack_offline([r for r, _ in pairs], [1.0] * len(points))
+    drawn = module.rounding_draw(stacks, 1)
+    again = module.rounding_draw(stacks, 1)
+    for metric in ("L2", "H1"):
+        for name in ("g_a", "s_a", "m_e", "s_b"):
+            before, after = getattr(stacks[metric], name), getattr(drawn[metric], name)
+            assert np.array_equal(after, getattr(again[metric], name))
+            assert not np.array_equal(after, before)
+            assert np.abs(after - before).max() <= 2e-15 * np.abs(before).max()
+        for name in ("a", "weight", "e_ref"):
+            assert getattr(drawn[metric], name) is getattr(stacks[metric], name)
+    # a shared array stays shared: the L2 s_a is s_b, and m_e serves both
+    assert drawn["L2"].s_a is drawn["L2"].s_b
+    assert drawn["L2"].m_e is drawn["H1"].m_e
+
+
+def test_distinct_groups_to_a_relative_tolerance():
+    distinct = load_script("run_tables").distinct
+    assert distinct([1.0]) == 1
+    assert distinct([1.0, 1.0 + 5e-8, 1.0 + 2e-7]) == 2
+    assert distinct([-2.0, 3.0, -2.0 * (1 + 1e-9)]) == 2
 
 
 @pytest.mark.parametrize(
